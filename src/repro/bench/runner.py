@@ -20,12 +20,6 @@ from repro.runtime import SweepCheckpoint
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "perfgate":
-        # The regression gate has its own flag surface; dispatch before
-        # the experiment parser sees (and rejects) its options.
-        from repro.bench.perfgate import main as perfgate_main
-
-        return perfgate_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="lightrw-bench",
         description="Regenerate the LightRW paper's tables and figures.",

@@ -163,8 +163,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
     starts = make_queries(graph, n_queries=args.queries, seed=args.seed)
     result = engine.run(
         algorithm, args.length, starts=starts, max_sampled_queries=args.max_sampled,
-        shards=args.shards, parallel=args.parallel,
-        mode=args.mode, workers=args.workers,
+        shards=args.shards, mode=args.mode, workers=args.workers,
         trace=bool(args.trace_out),
         strict=not args.no_strict,
         retries=args.retries,
@@ -298,17 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("--max-sampled", type=int, default=2048)
     walk.add_argument(
         "--shards", type=int, default=1,
-        help="split the batch across N scheduler shards (same walks)",
+        help="split the batch's walk across N scheduler shards "
+             "(same walks and modeled numbers)",
     )
     walk.add_argument(
-        "--parallel", action="store_true",
-        help="execute shards through a worker pool (thread-safe backends)",
-    )
-    walk.add_argument(
-        "--mode", choices=list(EXECUTION_MODES), default=None,
-        help="execution mode (overrides --parallel): 'process' fans shards "
-             "out to worker processes on process-safe backends; walks are "
-             "byte-identical in every mode",
+        "--mode", choices=list(EXECUTION_MODES), default="sequential",
+        help="execution mode: 'thread' runs shards on a thread pool "
+             "(thread-safe backends), 'process' on worker processes "
+             "(process-safe backends); results are identical in every mode",
     )
     walk.add_argument(
         "--workers", type=int, default=None, metavar="N",

@@ -22,8 +22,8 @@ Backends live in the :mod:`repro.runtime` registry; the built-ins are
     The modeled ThunderRW engine, for comparisons.
 
 The two FPGA backends produce identical walks for identical seeds, and
-every backend produces identical walks regardless of how the batch is
-sharded.  Register additional backends with
+every backend produces identical walks and modeled numbers regardless of
+how the batch is sharded.  Register additional backends with
 :func:`repro.runtime.register_backend`.
 
 This module is a thin facade: it builds a
@@ -143,8 +143,8 @@ class RunResult:
     def tracer(self):
         """The cycle simulator's pipeline tracer, when the run recorded one.
 
-        Present only for single-shard ``fpga-cycle`` runs started with
-        ``trace=True``; ``None`` otherwise.
+        Present only for ``fpga-cycle`` runs started with ``trace=True``;
+        ``None`` otherwise.
         """
         return getattr(self.breakdown.detail, "tracer", None)
 
@@ -245,8 +245,7 @@ class LightRW:
         record_latency: bool = True,
         include_pcie: bool = True,
         shards: int = 1,
-        parallel: bool = False,
-        mode: str | None = None,
+        mode: str = "sequential",
         workers: int | None = None,
         observer: Observer | None = None,
         trace: bool = False,
@@ -275,18 +274,15 @@ class LightRW:
             experiments, see DESIGN.md).  The cycle backend ignores this
             and always walks everything it is given.
         shards:
-            Split the batch into this many scheduler shards.  Walks are
-            identical for any shard count (per-query RNG is keyed by
-            global query id); shard timings merge into one breakdown.
-        parallel:
-            Execute shards through a worker pool when the backend is
-            thread safe (shorthand for ``mode="thread"``).
+            Split the batch's walk into this many scheduler shards.  The
+            merged walk is costed once, so walks *and* modeled numbers
+            are identical for any shard count (per-query RNG is keyed by
+            global query id).
         mode:
-            Explicit execution mode: ``"sequential"``, ``"thread"`` or
-            ``"process"`` (overrides ``parallel``).  ``"process"`` fans
-            shards out to worker processes and requires a backend that
-            declares ``process_safe``; walks are byte-identical in every
-            mode.
+            Execution mode: ``"sequential"``, ``"thread"`` (a thread pool
+            on thread-safe backends) or ``"process"`` (worker processes;
+            requires a backend that declares ``process_safe``).  Results
+            are identical in every mode.
         workers:
             Worker-pool width for the thread/process modes (defaults to
             the CPU count, clamped to the shard count).
@@ -320,8 +316,8 @@ class LightRW:
             checksum) to this directory so a killed run can resume.
         resume:
             Restore completed shards from ``checkpoint_dir`` and execute
-            only the missing ones; the resumed run's walks are
-            byte-identical to an uninterrupted one.  Requires an
+            only the missing ones; the resumed result is byte-identical
+            to an uninterrupted one.  Requires an
             existing, configuration-compatible checkpoint
             (:class:`~repro.errors.ConfigError` otherwise).
         """
@@ -341,7 +337,6 @@ class LightRW:
             )
             return self._execute(
                 plan,
-                parallel=parallel,
                 mode=mode,
                 workers=workers,
                 strict=strict,
@@ -362,8 +357,7 @@ class LightRW:
         max_sampled_queries: int = 4096,
         include_pcie: bool = True,
         shards: int = 1,
-        parallel: bool = False,
-        mode: str | None = None,
+        mode: str = "sequential",
         workers: int | None = None,
         observer: Observer | None = None,
         strict: bool = True,
@@ -399,7 +393,6 @@ class LightRW:
             )
             return self._execute(
                 plan,
-                parallel=parallel,
                 mode=mode,
                 workers=workers,
                 strict=strict,
@@ -450,9 +443,8 @@ class LightRW:
     def _execute(
         self,
         plan: ExecutionPlan,
-        parallel: bool = False,
         *,
-        mode: str | None = None,
+        mode: str = "sequential",
         workers: int | None = None,
         strict: bool = True,
         retry: RetryPolicy | None = None,
@@ -478,7 +470,6 @@ class LightRW:
         if faults:
             backend = FaultInjectionBackend(backend, faults)
         scheduler = BatchScheduler(
-            parallel=parallel,
             mode=mode,
             max_workers=workers,
             retry=retry or RetryPolicy(),

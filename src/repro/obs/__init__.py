@@ -4,7 +4,7 @@ The runtime spine (planner -> batch scheduler -> backends) is
 instrumented with this package:
 
 * :class:`MetricsRegistry` — labeled counters, gauges and histograms
-  (``dac.hits{backend=fpga-model,shard=2}``); the adapters translate each
+  (``run.retries{backend=fpga-model,shard=2}``); the adapters translate each
   backend's native stats objects into the stable schema documented in
   ``docs/observability.md``.
 * :func:`span` / :class:`Observer` — wall-clock span tracing with
@@ -27,11 +27,11 @@ Collection is opt-in and the disabled path is a no-op::
 """
 
 from repro.obs.adapters import (
+    record_breakdown,
     record_checkpoint,
     record_resumed_shard,
     record_retry,
     record_run,
-    record_shard,
     record_shard_failure,
     record_watchdog_abort,
 )
@@ -88,11 +88,11 @@ __all__ = [
     "current_observer",
     "prometheus_text",
     "read_jsonl",
+    "record_breakdown",
     "record_checkpoint",
     "record_resumed_shard",
     "record_retry",
     "record_run",
-    "record_shard",
     "record_shard_failure",
     "record_watchdog_abort",
     "run_record",

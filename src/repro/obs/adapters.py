@@ -38,11 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.timing import TimingBreakdown
 
 __all__ = [
+    "record_breakdown",
     "record_checkpoint",
     "record_resumed_shard",
     "record_retry",
     "record_run",
-    "record_shard",
     "record_shard_failure",
     "record_watchdog_abort",
 ]
@@ -61,36 +61,36 @@ def _family(native: Any) -> str:
     return "unknown"
 
 
-# -- per-shard counters -------------------------------------------------------
+# -- modeled-hardware counters ----------------------------------------------
 
 
-def record_shard(
+def record_breakdown(
     metrics: MetricsRegistry,
     breakdown: "TimingBreakdown",
     *,
     backend: str,
-    shard: int,
 ) -> None:
-    """Record one shard's counters, labeled ``{backend=..., shard=...}``."""
+    """Record one run's modeled counters, labeled ``{backend=...}``.
+
+    Called once per run on the cost stage's breakdown, so the series do
+    not depend on how the batch was sharded.
+    """
     for component, seconds in breakdown.components().items():
         metrics.counter(
-            "time.component_seconds", backend=backend, shard=shard,
-            component=component,
+            "time.component_seconds", backend=backend, component=component
         ).inc(seconds)
     native = breakdown.detail
     family = _family(native)
     if family == "fpga-model":
-        _record_model_shard(metrics, native, backend, shard)
+        _record_model(metrics, native, backend)
     elif family == "fpga-cycle":
-        _record_cycle_shard(metrics, native, backend, shard)
+        _record_cycle(metrics, native, backend)
     elif family == "cpu":
-        _record_cpu_shard(metrics, native, backend, shard)
+        _record_cpu(metrics, native, backend)
 
 
-def _record_model_shard(
-    metrics: MetricsRegistry, native: Any, backend: str, shard: int
-) -> None:
-    labels = {"backend": backend, "shard": shard}
+def _record_model(metrics: MetricsRegistry, native: Any, backend: str) -> None:
+    labels = {"backend": backend}
     metrics.counter("dac.accesses", **labels).inc(native.cache_accesses)
     metrics.counter("dac.hits", **labels).inc(native.cache_hits)
     metrics.counter("dac.misses", **labels).inc(
@@ -101,11 +101,9 @@ def _record_model_shard(
     metrics.counter("dram.bytes_read", **labels).inc(native.bytes_loaded)
 
 
-def _record_cycle_shard(
-    metrics: MetricsRegistry, native: Any, backend: str, shard: int
-) -> None:
+def _record_cycle(metrics: MetricsRegistry, native: Any, backend: str) -> None:
     for index, stats in enumerate(native.instances):
-        labels = {"backend": backend, "shard": shard, "instance": index}
+        labels = {"backend": backend, "instance": index}
         metrics.counter("dac.accesses", **labels).inc(
             stats.cache_hits + stats.cache_misses
         )
@@ -126,10 +124,8 @@ def _record_cycle_shard(
             ).inc(stalled)
 
 
-def _record_cpu_shard(
-    metrics: MetricsRegistry, native: Any, backend: str, shard: int
-) -> None:
-    labels = {"backend": backend, "shard": shard}
+def _record_cpu(metrics: MetricsRegistry, native: Any, backend: str) -> None:
+    labels = {"backend": backend}
     metrics.counter("cpu.memory_seconds", **labels).inc(native.memory_time_s)
     metrics.counter("cpu.instr_seconds", **labels).inc(native.instr_time_s)
 
@@ -184,9 +180,9 @@ def record_watchdog_abort(metrics: MetricsRegistry, *, cycle: int) -> None:
 def record_run(metrics: MetricsRegistry, result: "RunResult") -> None:
     """Record the merged run's ratio/throughput gauges and latency histogram.
 
-    Per-shard event *counts* are recorded by :func:`record_shard`; this
-    records the derived quantities that only make sense over the whole
-    batch, labeled ``{backend=...}``.
+    The modeled event *counts* are recorded by :func:`record_breakdown`;
+    this records the derived ratios, throughput and latencies, labeled
+    ``{backend=...}``.
     """
     backend = result.backend
     metrics.gauge("run.kernel_seconds", backend=backend).set(result.kernel_s)

@@ -9,10 +9,11 @@ the bench runner — executes query batches through this package:
 2. the **query planner** (:mod:`repro.runtime.plan`) validates a request
    against the backend's declared capabilities and lays out the sharded
    :class:`ExecutionPlan`;
-3. the **batch scheduler** (:mod:`repro.runtime.scheduler`) executes the
-   shards (sequentially or via a worker pool) and merges the per-shard
-   :class:`BackendReport`\\ s — paths, latencies and the unified
-   :class:`TimingBreakdown` hierarchy.  Shards are fault-isolated: a
+3. the **batch scheduler** (:mod:`repro.runtime.scheduler`) runs each
+   backend's walk stage over the shards (sequentially or via a worker
+   pool), merges the walked shards and runs the backend's cost stage
+   once, producing one :class:`BackendReport` with the unified
+   :class:`TimingBreakdown`.  Shards are fault-isolated: a
    failed shard becomes a structured :class:`ShardFailure` under the
    scheduler's :class:`RetryPolicy` (attempts, deterministic backoff,
    per-shard timeout), and the ``strict`` flag chooses between
@@ -62,7 +63,6 @@ from repro.runtime.scheduler import (
     BatchScheduler,
     RetryPolicy,
     ShardFailure,
-    run_plan,
 )
 from repro.runtime.timing import (
     CPUBaselineBreakdown,
@@ -105,6 +105,5 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "resume_run",
-    "run_plan",
     "unregister_backend",
 ]

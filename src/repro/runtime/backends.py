@@ -7,8 +7,14 @@ ThunderRW CPU baseline.  Each is a class with
 * a ``name`` (the string users pass to :class:`repro.core.api.LightRW`),
 * declared :class:`BackendCapabilities` the query planner validates
   against, and
-* an ``execute(plan, shard) -> BackendReport`` method the batch scheduler
-  calls once per shard.
+* two stages: ``execute(plan, shard) -> BackendReport``, the **walk
+  stage** the batch scheduler calls once per shard (retried and
+  checkpointed), and ``cost(plan, session, total_queries)``, the **cost
+  stage** :meth:`Backend.merge` runs exactly once, on the merged walk.
+
+Costing once is what keeps modeled numbers (kernel time, DAC hit ratio,
+``total_steps``, latencies) independent of how the batch was sharded: the
+merged session holds exactly the trace records an unsharded run records.
 
 New backends register with the :func:`register_backend` decorator and are
 immediately visible to the facade, the CLI (``--backend``) and the bench
@@ -22,6 +28,9 @@ runner — no ``if/elif`` chain to extend::
         capabilities = BackendCapabilities(description="...", system_label="Mine")
 
         def execute(self, plan, shard):
+            ...  # walk the shard; return walked_report(self.name, session)
+
+        def cost(self, plan, session, total_queries):
             ...
 
 All built-in backends share the same per-query RNG derivation keyed by
@@ -32,7 +41,7 @@ of backend or shard layout — the repo's core invariant.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -48,7 +57,7 @@ from repro.runtime.timing import (
     FPGAModelBreakdown,
     TimingBreakdown,
 )
-from repro.walks.stepper import WalkSession
+from repro.walks.stepper import StepRecord, WalkSession
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.plan import ExecutionPlan, QueryShard
@@ -66,10 +75,9 @@ class BackendCapabilities:
     supports_query_sampling: bool = True
     #: Does the backend execute random walks with restart (PPR)?
     supports_restart: bool = False
-    #: Can the backend report per-query latencies?
-    supports_latency: bool = True
-    #: Identical walks regardless of how the batch is sharded?
-    deterministic_across_shards: bool = True
+    #: May the planner split the batch into several shards?  False for a
+    #: backend that walks and costs in one indivisible pass.
+    shardable: bool = True
     #: Safe to execute shards concurrently from a thread pool?
     thread_safe: bool = True
     #: Safe to execute shards in worker *processes*?  Requires the
@@ -96,14 +104,19 @@ class RuntimeContext:
 
 @dataclass
 class BackendReport:
-    """One backend execution (a shard, or a merged batch)."""
+    """One backend execution: a walked shard, or a costed batch.
+
+    A walk-stage shard report carries ``paths``, ``lengths`` and the
+    ``session``; the timing fields stay empty until the cost stage fills
+    them in on the merged report.
+    """
 
     backend: str
     paths: np.ndarray
     lengths: np.ndarray
-    total_steps: int
-    kernel_s: float
-    breakdown: TimingBreakdown
+    total_steps: int = 0
+    kernel_s: float = 0.0
+    breakdown: TimingBreakdown | None = None
     setup_s: float = 0.0
     query_latency_s: np.ndarray | None = None
     session: WalkSession | None = None
@@ -122,75 +135,86 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def execute(self, plan: "ExecutionPlan", shard: "QueryShard") -> BackendReport:
-        """Walk and cost one shard of the planned batch."""
+        """Walk stage: walk one shard; the report carries its session."""
+
+    def cost(
+        self, plan: "ExecutionPlan", session: WalkSession, total_queries: int
+    ) -> BackendReport:
+        """Cost stage: model ``session``, extrapolated to ``total_queries``."""
+        raise NotImplementedError(f"backend {self.name!r} has no cost stage")
 
     def merge(
         self, plan: "ExecutionPlan", reports: Sequence[BackendReport]
     ) -> BackendReport:
-        """Combine per-shard reports into the batch-level report.
+        """Cost the shards' merged walk once.
 
-        Paths and latencies concatenate in shard order (= global query-id
-        order); timing merges through the :class:`TimingBreakdown`
-        hierarchy.  Single-shard plans pass through untouched.
+        ``reports`` are the walk-stage reports of ``plan.shards``, in shard
+        order (the scheduler narrows ``plan.shards`` to the survivors of a
+        degraded run), so the merged session is in global query-id order
+        and extrapolates to the shards' summed ``total_queries``.
         """
-        if len(reports) == 1:
-            return reports[0]
-        width = max(r.paths.shape[1] for r in reports)
-        paths = np.full(
-            (sum(r.paths.shape[0] for r in reports), width), -1, dtype=np.int64
-        )
-        row = 0
-        for report in reports:
-            n, w = report.paths.shape
-            paths[row : row + n, :w] = report.paths
-            row += n
-        latencies = [r.query_latency_s for r in reports]
-        breakdown = type(reports[0].breakdown).merged([r.breakdown for r in reports])
-        return BackendReport(
-            backend=self.name,
-            paths=paths,
-            lengths=np.concatenate([r.lengths for r in reports]),
-            total_steps=sum(r.total_steps for r in reports),
-            kernel_s=sum(r.kernel_s for r in reports),
-            setup_s=sum(r.setup_s for r in reports),
-            breakdown=breakdown,
-            query_latency_s=(
-                np.concatenate(latencies)
-                if all(x is not None for x in latencies)
-                else None
-            ),
-            session=_merge_sessions([r.session for r in reports]),
-        )
+        session = merge_sessions([r.session for r in reports], self.context.graph)
+        return self.cost(plan, session, sum(s.total_queries for s in plan.shards))
 
 
-def _merge_sessions(sessions: Sequence[WalkSession | None]) -> WalkSession | None:
-    """Concatenate shard sessions, re-basing record query ids globally."""
-    if any(s is None for s in sessions):
-        return None
-    parts = [s for s in sessions if s is not None]
-    if len(parts) == 1:
-        return parts[0]
-    width = max(s.paths.shape[1] for s in parts)
-    paths = np.full((sum(s.num_queries for s in parts), width), -1, dtype=np.int64)
-    records = []
-    row = 0
-    for session in parts:
-        n, w = session.paths.shape
-        paths[row : row + n, :w] = session.paths
+def walked_report(backend: str, session: WalkSession) -> BackendReport:
+    """The walk-stage report of one shard."""
+    return BackendReport(
+        backend=backend, paths=session.paths, lengths=session.lengths, session=session
+    )
+
+
+def merge_sessions(sessions: Sequence[WalkSession], graph: CSRGraph) -> WalkSession:
+    """Stitch shard sessions into the session an unsharded walk records.
+
+    Shards are contiguous slices in global query-id order, so joining each
+    step's records in shard order, with rows rebased to the merged session,
+    rebuilds exactly the records (and their order, which the cache models
+    replay) of a one-shard run.  ``graph`` is attached to the result:
+    sessions that crossed a pickle boundary arrive without one.
+    """
+    if len(sessions) == 1:
+        return replace(sessions[0], graph=graph)
+    offsets = np.cumsum([0] + [s.num_queries for s in sessions[:-1]])
+    by_step: dict[int, list[tuple[int, StepRecord]]] = {}
+    for offset, session in zip(offsets, sessions):
         for record in session.records:
-            from dataclasses import replace
-
-            records.append(replace(record, query_ids=record.query_ids + row))
-        row += n
+            by_step.setdefault(record.step, []).append((offset, record))
+    traced = ("curr", "degrees", "prev", "prev_degrees", "next_vertex")
+    records = [
+        StepRecord(
+            step=step,
+            query_ids=np.concatenate([r.query_ids + o for o, r in parts]),
+            **{name: np.concatenate([getattr(r, name) for _, r in parts]) for name in traced},
+        )
+        for step, parts in sorted(by_step.items())
+    ]
     return WalkSession(
-        graph=parts[0].graph,
-        algorithm=parts[0].algorithm,
-        sampler=parts[0].sampler,
-        starts=np.concatenate([s.starts for s in parts]),
-        paths=paths,
-        lengths=np.concatenate([s.lengths for s in parts]),
+        graph=graph,
+        algorithm=sessions[0].algorithm,
+        sampler=sessions[0].sampler,
+        starts=np.concatenate([s.starts for s in sessions]),
+        paths=np.concatenate([s.paths for s in sessions]),
+        lengths=np.concatenate([s.lengths for s in sessions]),
         records=records,
     )
+
+
+def strip_report(report: BackendReport) -> BackendReport:
+    """A shard report ready to cross a pickle boundary.
+
+    Checkpoints and process-mode workers ship shard reports without the
+    session's graph (large, and the parent's own) or a cycle run's
+    pipeline tracer; :meth:`Backend.merge` re-attaches the context graph.
+    """
+    if report.session is not None:
+        report = replace(report, session=replace(report.session, graph=None))
+    detail = getattr(report.breakdown, "detail", None)
+    if getattr(detail, "tracer", None) is not None:
+        report = replace(
+            report, breakdown=replace(report.breakdown, detail=replace(detail, tracer=None))
+        )
+    return report
 
 
 # -- registry ----------------------------------------------------------------
@@ -266,8 +290,6 @@ class FPGAModelBackend(Backend):
         system_label="LightRW",
         supports_query_sampling=True,
         supports_restart=True,
-        supports_latency=True,
-        deterministic_across_shards=True,
         thread_safe=True,
         process_safe=True,
         uses_pcie=True,
@@ -275,7 +297,6 @@ class FPGAModelBackend(Backend):
     )
 
     def execute(self, plan: "ExecutionPlan", shard: "QueryShard") -> BackendReport:
-        from repro.fpga.perfmodel import FPGAPerfModel
         from repro.walks.stepper import PWRSSampler, run_walks
 
         ctx = self.context
@@ -302,11 +323,18 @@ class FPGAModelBackend(Backend):
                     sampler,
                     query_ids=shard.query_ids(),
                 )
+        return walked_report(self.name, session)
+
+    def cost(
+        self, plan: "ExecutionPlan", session: WalkSession, total_queries: int
+    ) -> BackendReport:
+        from repro.fpga.perfmodel import FPGAPerfModel
+
         with span("perf-model", backend=self.name):
-            model = FPGAPerfModel(ctx.config, plan.algorithm)
+            model = FPGAPerfModel(self.context.config, plan.algorithm)
             native = model.evaluate(
                 session,
-                total_queries=shard.total_queries,
+                total_queries=total_queries,
                 record_latency=plan.record_latency,
             )
         return BackendReport(
@@ -342,11 +370,9 @@ class FPGACycleBackend(Backend):
         system_label="LightRW (cycle)",
         supports_query_sampling=False,
         supports_restart=False,
-        supports_latency=True,
-        deterministic_across_shards=True,
-        # Fresh module/FIFO objects per run, but keep shard execution
-        # sequential: simulated shards share no wall-clock benefit anyway.
-        thread_safe=False,
+        # One simulation both walks and costs the batch, so it cannot be
+        # split into a sharded walk stage and a single cost stage.
+        shardable=False,
         uses_pcie=True,
         max_batch_queries=4096,
     )
@@ -397,6 +423,13 @@ class FPGACycleBackend(Backend):
             query_latency_s=latencies,
         )
 
+    def merge(
+        self, plan: "ExecutionPlan", reports: Sequence[BackendReport]
+    ) -> BackendReport:
+        # The planner gives this backend one shard, already costed.
+        (report,) = reports
+        return report
+
 
 @register_backend
 class CPUBaselineBackend(Backend):
@@ -411,10 +444,6 @@ class CPUBaselineBackend(Backend):
         system_label="ThunderRW",
         supports_query_sampling=True,
         supports_restart=False,
-        supports_latency=True,
-        # The inverse-transform sampler also derives per-query lanes from
-        # global ids, so CPU walks are shard-invariant too.
-        deterministic_across_shards=True,
         thread_safe=True,
         process_safe=True,
         uses_pcie=False,
@@ -422,20 +451,32 @@ class CPUBaselineBackend(Backend):
     )
 
     def execute(self, plan: "ExecutionPlan", shard: "QueryShard") -> BackendReport:
-        from repro.cpu.engine import ThunderRWEngine
+        from repro.walks.stepper import InverseTransformSampler, run_walks
 
         ctx = self.context
-        with span("cpu-engine", backend=self.name):
-            engine = ThunderRWEngine(ctx.graph, spec=ctx.cpu_spec, seed=ctx.seed)
-            result = engine.run(
+        # ThunderRW's configured sampling method; its per-query lanes are
+        # keyed by global id too, so CPU walks are shard-invariant.
+        with span("walk", backend=self.name):
+            session = run_walks(
+                ctx.graph,
                 shard.starts,
                 plan.n_steps,
                 plan.algorithm,
-                total_queries=shard.total_queries,
+                InverseTransformSampler(seed=ctx.seed),
                 query_ids=shard.query_ids(),
             )
-        timing = result.timing
-        session = result.session
+        return walked_report(self.name, session)
+
+    def cost(
+        self, plan: "ExecutionPlan", session: WalkSession, total_queries: int
+    ) -> BackendReport:
+        from repro.cpu.costmodel import cpu_time_for_session
+
+        ctx = self.context
+        with span("cpu-engine", backend=self.name):
+            timing = cpu_time_for_session(
+                session, plan.algorithm, ctx.cpu_spec, total_queries=total_queries
+            )
         return BackendReport(
             backend=self.name,
             paths=session.paths,

@@ -4,14 +4,15 @@ PR 3 made a single process survive shard failures; this module makes the
 *run* survive the process.  Two checkpoint granularities:
 
 * :class:`RunCheckpoint` — one scheduler batch.  Every completed shard's
-  :class:`~repro.runtime.backends.BackendReport` is persisted (atomic
-  write, content checksum) the moment it finishes, keyed by shard index,
+  walk-stage :class:`~repro.runtime.backends.BackendReport` (paths and the
+  step records the cost stage replays, minus the graph) is persisted
+  (atomic write, content checksum) the moment it finishes, keyed by shard index,
   together with a ``run.json`` carrying a fingerprint of the planned run
   (backend, algorithm, steps, the exact sampled starts, shard layout,
   seed, config hash).  A resumed run loads the completed shards, executes
   only the missing ones, and — because per-query RNG lanes are keyed by
-  *global* query id — merges to byte-identical walks versus an
-  uninterrupted run.
+  *global* query id — merges to a result byte-identical to an
+  uninterrupted run's, modeled numbers and session included.
 * :class:`SweepCheckpoint` — one bench sweep.  ``lightrw-bench`` records
   each experiment name as it completes, so an interrupted ``all`` sweep
   resumes at the first unfinished experiment.
@@ -27,7 +28,6 @@ shard layout or accelerator config is a
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import logging
@@ -43,6 +43,7 @@ from repro.artifacts import (
     write_json_artifact,
 )
 from repro.errors import ArtifactCorruptionError, ConfigError
+from repro.runtime.backends import strip_report
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.api import RunResult
@@ -96,24 +97,6 @@ def plan_fingerprint(plan: "ExecutionPlan", seed: int, config_hash: str = "") ->
     )
     digest.update(plan.starts.tobytes())
     return digest.hexdigest()[:16]
-
-
-def _strip_report(report: "BackendReport") -> "BackendReport":
-    """Drop the non-essential heavyweights before serializing a report.
-
-    The walk session holds a graph reference (re-derivable, large) and a
-    cycle run may hold a pipeline tracer; neither affects the merged
-    paths, lengths, latencies or timing totals a resumed run needs.
-    """
-    report = dataclasses.replace(report, session=None)
-    breakdown = report.breakdown
-    detail = getattr(breakdown, "detail", None)
-    if detail is not None and getattr(detail, "tracer", None) is not None:
-        breakdown = dataclasses.replace(
-            breakdown, detail=dataclasses.replace(detail, tracer=None)
-        )
-        report = dataclasses.replace(report, breakdown=breakdown)
-    return report
 
 
 class RunCheckpoint:
@@ -216,13 +199,11 @@ class RunCheckpoint:
         # Binding the plan fingerprint into the artifact kind means a
         # shard file from a different run fails verification instead of
         # being merged into the wrong batch.
-        return f"shard-report:{self.fingerprint}"
+        return f"shard-walk:{self.fingerprint}"
 
     def record_shard(self, index: int, report: "BackendReport") -> Path:
         """Persist one completed shard's report (atomic, checksummed)."""
-        payload = pickle.dumps(
-            _strip_report(report), protocol=pickle.HIGHEST_PROTOCOL
-        )
+        payload = pickle.dumps(strip_report(report), protocol=pickle.HIGHEST_PROTOCOL)
         return write_binary_artifact(
             self.shard_path(index), payload, kind=self._shard_kind()
         )

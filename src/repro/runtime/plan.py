@@ -5,7 +5,8 @@ batch, backend) combination is checked against the chosen backend's
 declared capabilities and turned into an :class:`ExecutionPlan` — the
 sampled functional batch plus the shard layout the scheduler executes.
 Limit violations (unknown backend, cycle-simulator batch caps, restart on
-a backend without restart support, bad shard counts) surface here as
+a backend without restart support, bad shard counts, several shards on a
+backend that is not ``shardable``) surface here as
 actionable :class:`~repro.errors.ConfigError`\\ s instead of deep failures
 inside a cost model.
 
@@ -133,6 +134,11 @@ def plan_run(
 
         if shards < 1:
             raise ConfigError(f"shards must be >= 1, got {shards}")
+        if shards > 1 and not caps.shardable:
+            raise ConfigError(
+                f"backend {backend!r} walks and costs a batch in one pass and "
+                f"runs a single shard; got shards={shards}"
+            )
         if restart_alpha is not None and not caps.supports_restart:
             raise ConfigError(
                 f"restart walks are supported on the fpga-model backend, "

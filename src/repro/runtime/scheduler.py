@@ -1,17 +1,17 @@
 """Sharded batch scheduler: fault-isolated execution of a plan's shards.
 
 Large query batches are split into shards by the planner; the scheduler
-drives a backend over them in one of three execution modes — sequentially
-by default, through a thread pool for backends whose execution is thread
-safe (the functional stepper releases the GIL inside its numpy kernels,
-so shards genuinely overlap), or through a *process pool* for backends
-that declare ``process_safe``: each worker process materializes the
-pickled (backend, plan) payload once, executes shard attempts under its
-own observer, and ships the report plus exported metrics/spans back for
-the parent to merge.  Shard reports always merge in shard order, so the
-merged paths/latencies are in global query-id order and the result is
-independent of worker scheduling — and because per-query RNG is keyed by
-global query id, walks are byte-identical across all three modes.
+drives a backend's **walk stage** over them in one of three execution
+modes — sequentially by default, through a thread pool for backends whose
+execution is thread safe (the functional stepper releases the GIL inside
+its numpy kernels, so shards genuinely overlap), or through a *process
+pool* for backends that declare ``process_safe``: each worker process
+materializes the pickled (backend, plan) payload once, executes shard
+attempts under its own observer, and ships the (stripped) report plus
+exported metrics/spans back for the parent to merge.  The walked shards
+then merge in shard order and the backend's **cost stage** runs once on
+the merged walk, so walks *and* modeled numbers are identical across all
+three modes, any shard layout, retries and checkpoint resume.
 
 A failed shard never aborts its siblings.  Each shard runs under the
 scheduler's :class:`RetryPolicy` (attempt budget, exponential backoff
@@ -29,7 +29,8 @@ of an exception tearing down the pool.  What happens next is the
 
 Retries and failures are recorded through the metrics registry
 (``run.retries``, ``run.shard_failures``) and each attempt is a ``shard``
-span, so degraded runs stay fully observable.
+span, so degraded runs stay fully observable.  The modeled-hardware
+series are recorded once per run, from the cost stage.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,14 +51,14 @@ from repro.errors import ConfigError, ShardExecutionError, ShardTimeoutError
 from repro.obs import (
     Observer,
     current_observer,
+    record_breakdown,
     record_checkpoint,
     record_resumed_shard,
     record_retry,
-    record_shard,
     record_shard_failure,
     use_observer,
 )
-from repro.runtime.backends import Backend, BackendReport
+from repro.runtime.backends import Backend, BackendReport, strip_report
 from repro.runtime.durability import RunCheckpoint
 from repro.runtime.plan import ExecutionPlan, QueryShard
 
@@ -216,9 +217,9 @@ def _process_shard_attempt(index: int, attempt: int):
     """Execute one shard attempt inside a pool worker.
 
     Returns ``(report, metric_state, span_records)``: the worker runs
-    under a fresh :class:`~repro.obs.Observer` and ships its exported
-    metrics and finished spans back for the parent to merge (the parent
-    owns ``record_shard`` — the worker never double-counts it).
+    under a fresh :class:`~repro.obs.Observer` and ships the stripped
+    report with its exported metrics and finished spans back for the
+    parent to merge.
     """
     backend = _WORKER_STATE["backend"]
     plan = _WORKER_STATE["plan"]
@@ -230,11 +231,15 @@ def _process_shard_attempt(index: int, attempt: int):
     if prime is not None:
         prime(index, attempt)
     if not _WORKER_STATE["observed"]:
-        return backend.execute(plan, shard), [], []
+        return strip_report(backend.execute(plan, shard)), [], []
     worker_obs = Observer()
     with use_observer(worker_obs):
         report = backend.execute(plan, shard)
-    return report, worker_obs.metrics.export_state(), worker_obs.spans.finished()
+    return (
+        strip_report(report),
+        worker_obs.metrics.export_state(),
+        worker_obs.spans.finished(),
+    )
 
 
 def _call_with_timeout(call, timeout_s: float, shard: int, attempt: int):
@@ -275,10 +280,6 @@ class BatchScheduler:
 
     Parameters
     ----------
-    parallel:
-        Execute shards through a thread pool when the backend declares
-        ``thread_safe``.  Walks are identical either way (per-query RNG);
-        only wall-clock changes.  Shorthand for ``mode="thread"``.
     max_workers:
         Pool width; defaults to ``cpu_count`` and is always clamped to
         the shard count.  Zero or negative widths are a
@@ -292,39 +293,30 @@ class BatchScheduler:
         shard failure; ``False`` merges the survivors into a partial
         result and reports the failures on the :class:`BatchOutcome`.
     mode:
-        Explicit execution mode — ``"sequential"``, ``"thread"`` or
-        ``"process"`` — overriding ``parallel``.  ``"process"`` fans
-        shards out to a ``ProcessPoolExecutor`` and requires the backend
-        to declare ``process_safe`` (a :class:`~repro.errors.ConfigError`
-        otherwise); walks stay byte-identical because per-query RNG is
-        keyed by global query id, and each worker's metrics/spans are
-        merged back into the parent observer.  ``None`` (default) keeps
-        the historical behavior: ``"thread"`` when ``parallel`` else
-        ``"sequential"``.
+        Execution mode — ``"sequential"`` (default), ``"thread"`` or
+        ``"process"``.  ``"thread"`` uses a thread pool when the backend
+        declares ``thread_safe`` (sequential otherwise).  ``"process"``
+        fans shards out to a ``ProcessPoolExecutor`` and requires the
+        backend to declare ``process_safe`` (a
+        :class:`~repro.errors.ConfigError` otherwise); each worker's
+        metrics/spans are merged back into the parent observer.  Walks
+        and modeled numbers are identical in every mode.
     """
 
-    parallel: bool = False
     max_workers: int | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     strict: bool = True
-    mode: str | None = None
+    mode: str = "sequential"
 
     def __post_init__(self) -> None:
         if self.max_workers is not None and self.max_workers < 1:
             raise ConfigError(
                 f"max_workers must be >= 1, got {self.max_workers}"
             )
-        if self.mode is not None and self.mode not in EXECUTION_MODES:
+        if self.mode not in EXECUTION_MODES:
             raise ConfigError(
                 f"mode must be one of {EXECUTION_MODES}, got {self.mode!r}"
             )
-
-    @property
-    def resolved_mode(self) -> str:
-        """The effective execution mode (``mode`` over ``parallel``)."""
-        if self.mode is not None:
-            return self.mode
-        return "thread" if self.parallel else "sequential"
 
     def execute(
         self,
@@ -332,19 +324,18 @@ class BatchScheduler:
         plan: ExecutionPlan,
         checkpoint: RunCheckpoint | None = None,
     ) -> BatchOutcome:
-        """Run every shard of ``plan`` on ``backend`` and merge the survivors.
+        """Walk every shard of ``plan`` on ``backend``; merge and cost the survivors.
 
         With a ``checkpoint``, shards already persisted in it are restored
         instead of re-executed, and every shard that completes here is
         persisted the moment it finishes — so a killed process resumes at
         the first unfinished shard and, because per-query RNG lanes are
-        keyed by global query id, merges to byte-identical walks.
+        keyed by global query id, merges to a byte-identical result.
         """
         shards = plan.shards
         if not shards:
             raise ValueError("plan has no shards to execute")
-        mode = self.resolved_mode
-        if mode == "process" and not backend.capabilities.process_safe:
+        if self.mode == "process" and not backend.capabilities.process_safe:
             raise ConfigError(
                 f"backend {backend.name!r} does not declare process_safe "
                 f"execution; use mode='thread' or mode='sequential'"
@@ -369,13 +360,6 @@ class BatchScheduler:
                     for index in sorted(restored):
                         record_resumed_shard(
                             obs.metrics, backend=backend.name, shard=index
-                        )
-                        # Replay the restored report's counters so a
-                        # resumed run reports the same dac./dyb./pipeline.
-                        # totals as an uninterrupted one.
-                        record_shard(
-                            obs.metrics, restored[index].breakdown,
-                            backend=backend.name, shard=index,
                         )
 
         # Assigned a live pool for the duration of process-mode execution;
@@ -413,11 +397,6 @@ class BatchScheduler:
                         parent_id=shard_span.span_id,
                         offset_s=shard_span.start_s,
                     )
-            if obs.enabled:
-                record_shard(
-                    obs.metrics, report.breakdown,
-                    backend=backend.name, shard=shard.index,
-                )
             return report
 
         def attempt_shard(shard: QueryShard, attempt: int) -> BackendReport:
@@ -432,13 +411,7 @@ class BatchScheduler:
                     "shard", backend=backend.name, shard=shard.index,
                     queries=shard.num_queries, attempt=attempt,
                 ):
-                    report = backend.execute(plan, shard)
-                if obs.enabled:
-                    record_shard(
-                        obs.metrics, report.breakdown,
-                        backend=backend.name, shard=shard.index,
-                    )
-                return report
+                    return backend.execute(plan, shard)
 
             if policy.shard_timeout_s is None:
                 return call()
@@ -495,7 +468,7 @@ class BatchScheduler:
             return failure, policy.max_attempts
 
         pending = [shard for shard in shards if shard.index not in restored]
-        if mode == "process" and len(pending) > 1:
+        if self.mode == "process" and len(pending) > 1:
             requested = self.max_workers or (os.cpu_count() or 1)
             workers = min(requested, len(pending))
             logger.debug(
@@ -537,7 +510,7 @@ class BatchScheduler:
                 finally:
                     process_pool = None
         elif (
-            mode == "thread"
+            self.mode == "thread"
             and len(pending) > 1
             and backend.capabilities.thread_safe
         ):
@@ -593,26 +566,22 @@ class BatchScheduler:
                 "degraded run: %d of %d shard(s) failed, merging %d survivor(s)",
                 len(failures), len(shards), len(reports),
             )
+            # Cost the survivors only, extrapolated to their share.
+            plan = replace(
+                plan,
+                shards=tuple(
+                    shard
+                    for shard, (r, _) in zip(shards, outcomes)
+                    if isinstance(r, BackendReport)
+                ),
+            )
         with obs.span("merge", backend=backend.name, shards=len(reports)):
             merged = backend.merge(plan, reports)
+        if obs.enabled:
+            record_breakdown(obs.metrics, merged.breakdown, backend=backend.name)
         return BatchOutcome(
             report=merged,
             failures=failures,
             retries=retries,
             resumed=len(restored),
         )
-
-
-def run_plan(
-    backend: Backend,
-    plan: ExecutionPlan,
-    scheduler: BatchScheduler | None = None,
-) -> BackendReport:
-    """Convenience wrapper: execute ``plan`` and return the merged report.
-
-    Uses a default (strict) scheduler unless one is given, so any shard
-    failure raises; callers that need the per-shard failure records use
-    :meth:`BatchScheduler.execute` directly and read the
-    :class:`BatchOutcome`.
-    """
-    return (scheduler or BatchScheduler()).execute(backend, plan).report

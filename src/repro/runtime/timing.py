@@ -2,16 +2,17 @@
 
 The public API used to type ``RunResult.breakdown`` as the union
 ``FPGATimeBreakdown | CPUTimeBreakdown | CycleSimResult``, which forced
-callers into ``isinstance`` ladders and made shard merging ad hoc.  This
-module replaces the union with a small dataclass hierarchy:
+callers into ``isinstance`` ladders.  This module replaces the union with
+a small dataclass hierarchy:
 
 * :class:`TimingBreakdown` — the backend-independent surface every caller
   can rely on (``kernel_s``, ``total_steps``, ``num_queries``,
   ``steps_per_second``, ``components()``), plus the backend-native object
   on ``.detail``;
-* one subclass per backend family, each knowing how to **merge** the
-  per-shard reports the batch scheduler produces back into a single
-  breakdown.
+* one subclass per backend family, naming its time components.
+
+A breakdown always describes one cost-model evaluation of a whole run:
+backends cost the merged walk once, so nothing here adds shards up.
 
 Backward compatibility: attribute access falls through to ``detail``, so
 existing code reading e.g. ``result.breakdown.cache_accesses`` (analytic
@@ -21,10 +22,8 @@ unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass
@@ -64,26 +63,6 @@ class TimingBreakdown:
             )
         return getattr(detail, name)
 
-    @classmethod
-    def merged(cls, parts: Sequence["TimingBreakdown"]) -> "TimingBreakdown":
-        """Combine per-shard breakdowns of a sequentially executed batch."""
-        if not parts:
-            raise ValueError("cannot merge zero breakdowns")
-        if len(parts) == 1:
-            return parts[0]
-        return cls(
-            backend=parts[0].backend,
-            kernel_s=sum(p.kernel_s for p in parts),
-            total_steps=sum(p.total_steps for p in parts),
-            num_queries=sum(p.num_queries for p in parts),
-            setup_s=sum(p.setup_s for p in parts),
-            detail=cls._merge_details(parts),
-        )
-
-    @classmethod
-    def _merge_details(cls, parts: Sequence["TimingBreakdown"]) -> Any:
-        return parts[0].detail
-
 
 @dataclass
 class FPGAModelBreakdown(TimingBreakdown):
@@ -102,33 +81,6 @@ class FPGAModelBreakdown(TimingBreakdown):
             )
         return out
 
-    @classmethod
-    def _merge_details(cls, parts: Sequence[TimingBreakdown]) -> Any:
-        natives = [p.detail for p in parts]
-        if any(n is None for n in natives):
-            return natives[0]
-        first = natives[0]
-        latencies = [n.query_latency_cycles for n in natives]
-        merged_latency = (
-            np.concatenate(latencies) if all(x is not None for x in latencies) else None
-        )
-        # Re-running __post_init__ via replace() recomputes kernel_cycles
-        # from the summed busy arrays — sequential shards stack resources.
-        return replace(
-            first,
-            total_steps=sum(n.total_steps for n in natives),
-            num_queries=sum(n.num_queries for n in natives),
-            mem_cycles=np.sum([n.mem_cycles for n in natives], axis=0),
-            sampler_cycles=np.sum([n.sampler_cycles for n in natives], axis=0),
-            controller_cycles=np.sum([n.controller_cycles for n in natives], axis=0),
-            fill_cycles=sum(n.fill_cycles for n in natives),
-            cache_accesses=sum(n.cache_accesses for n in natives),
-            cache_hits=sum(n.cache_hits for n in natives),
-            bytes_valid=sum(n.bytes_valid for n in natives),
-            bytes_loaded=sum(n.bytes_loaded for n in natives),
-            query_latency_cycles=merged_latency,
-        )
-
 
 @dataclass
 class FPGACycleBreakdown(TimingBreakdown):
@@ -141,53 +93,6 @@ class FPGACycleBreakdown(TimingBreakdown):
             for module, busy in native.utilization_report().items():
                 out[module] = busy * self.kernel_s
         return out
-
-    @classmethod
-    def _merge_details(cls, parts: Sequence[TimingBreakdown]) -> Any:
-        from repro.fpga.accelerator import CycleSimResult, InstanceStats
-
-        natives = [p.detail for p in parts]
-        if any(n is None for n in natives):
-            return natives[0]
-        first = natives[0]
-        paths: dict[int, list[int]] = {}
-        latencies: dict[int, int] = {}
-        for native in natives:
-            paths.update(native.paths)
-            latencies.update(native.query_latency_cycles)
-        n_instances = max(len(n.instances) for n in natives)
-        instances = []
-        for idx in range(n_instances):
-            shard_stats = [n.instances[idx] for n in natives if idx < len(n.instances)]
-            module_busy: dict[str, int] = {}
-            fifo_stalls: dict[str, int] = {}
-            for stats in shard_stats:
-                for module, busy in stats.module_busy.items():
-                    module_busy[module] = module_busy.get(module, 0) + busy
-                for fifo, stalled in stats.fifo_stalls.items():
-                    fifo_stalls[fifo] = fifo_stalls.get(fifo, 0) + stalled
-            instances.append(
-                InstanceStats(
-                    cycles=sum(s.cycles for s in shard_stats),
-                    dram_busy_cycles=sum(s.dram_busy_cycles for s in shard_stats),
-                    dram_bytes=sum(s.dram_bytes for s in shard_stats),
-                    dram_requests=sum(s.dram_requests for s in shard_stats),
-                    cache_hits=sum(s.cache_hits for s in shard_stats),
-                    cache_misses=sum(s.cache_misses for s in shard_stats),
-                    bytes_valid=sum(s.bytes_valid for s in shard_stats),
-                    bytes_loaded=sum(s.bytes_loaded for s in shard_stats),
-                    module_busy=module_busy,
-                    fifo_stalls=fifo_stalls,
-                )
-            )
-        return CycleSimResult(
-            config=first.config,
-            cycles=sum(n.cycles for n in natives),
-            paths=paths,
-            instances=instances,
-            query_latency_cycles=latencies,
-            tracer=None,
-        )
 
 
 @dataclass
@@ -205,31 +110,3 @@ class CPUBaselineBreakdown(TimingBreakdown):
                 init=native.init_time_s,
             )
         return out
-
-    @classmethod
-    def _merge_details(cls, parts: Sequence[TimingBreakdown]) -> Any:
-        natives = [p.detail for p in parts]
-        if any(n is None for n in natives):
-            return natives[0]
-        first = natives[0]
-        latencies = [n.query_latency_s for n in natives]
-        merged_latency = (
-            np.concatenate(latencies) if all(x is not None for x in latencies) else None
-        )
-        total_steps = sum(n.total_steps for n in natives)
-        miss = (
-            sum(n.llc_miss_ratio * n.total_steps for n in natives) / total_steps
-            if total_steps
-            else first.llc_miss_ratio
-        )
-        return replace(
-            first,
-            total_steps=total_steps,
-            num_queries=sum(n.num_queries for n in natives),
-            seq_time_s=sum(n.seq_time_s for n in natives),
-            rand_time_s=sum(n.rand_time_s for n in natives),
-            instr_time_s=sum(n.instr_time_s for n in natives),
-            init_time_s=sum(n.init_time_s for n in natives),
-            query_latency_s=merged_latency,
-            llc_miss_ratio=miss,
-        )

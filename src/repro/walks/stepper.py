@@ -179,7 +179,7 @@ class StepRecord:
     """Everything the performance models need about one executed step."""
 
     step: int
-    query_ids: np.ndarray  # global query ids active this step
+    query_ids: np.ndarray  # session rows active this step (merging shards rebases them)
     curr: np.ndarray  # vertex each query stood on
     degrees: np.ndarray  # out-degree of curr
     prev: np.ndarray  # previous vertex (-1 on the first step)

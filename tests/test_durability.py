@@ -40,6 +40,7 @@ from repro.graph.io import load_csr_npz, save_csr_npz
 from repro.obs import append_jsonl, read_jsonl, use_observer
 from repro.runtime import InjectedFault, RunCheckpoint, SweepCheckpoint, resume_run
 from repro.walks.uniform import UniformWalk
+from tests.helpers import assert_same_result
 
 
 @pytest.fixture
@@ -290,7 +291,7 @@ class TestRunCheckpointResume:
 
     def test_resume_is_byte_identical(self, engine, starts, tmp_path):
         """The tentpole claim: restored + re-executed shards merge to the
-        same walks an uninterrupted run produces."""
+        same result an uninterrupted run produces, session included."""
         baseline = engine.run(UniformWalk(), 5, starts=starts, shards=4)
         directory = tmp_path / "ck"
         self._interrupt(engine, starts, directory)
@@ -303,14 +304,13 @@ class TestRunCheckpointResume:
             checkpoint_dir=directory, resume=True, observer=observer,
         )
         assert resumed.resumed_shards == 3
-        np.testing.assert_array_equal(resumed.paths, baseline.paths)
-        np.testing.assert_array_equal(resumed.lengths, baseline.lengths)
+        assert_same_result(resumed, baseline, ignore=("resumed_shards",))
         assert observer.metrics.total("run.resumed_shards") == 3
         assert observer.metrics.total("run.checkpoints") == 1  # only shard 2
 
     def test_resume_replays_restored_shard_metrics(self, engine, starts, tmp_path):
-        """Restored shards re-emit their per-shard counters on restore, so
-        a resumed run's metric snapshot matches an uninterrupted run's."""
+        """Modeled counters come from the run's single cost stage, so a
+        resumed run's metric snapshot matches an uninterrupted run's."""
         families = ("dac.", "dyb.", "dram.", "pipeline.", "cpu.", "time.", "query.")
 
         def picked(observer):
@@ -403,7 +403,7 @@ class TestRunCheckpointResume:
         self._interrupt(engine, starts, directory)
         resumed = engine.run(
             UniformWalk(), 5, starts=starts, shards=4,
-            checkpoint_dir=directory, resume=True, parallel=True,
+            checkpoint_dir=directory, resume=True, mode="thread",
         )
         np.testing.assert_array_equal(resumed.paths, baseline.paths)
 
@@ -491,7 +491,9 @@ class TestCLIResume:
             "walk", str(bundle), "--algorithm", "uniform", "--length", "4",
             "--queries", "32", "--shards", "4",
         ]
+        capsys.readouterr()  # drop the graph generation output
         assert cli_main(base + ["--output", str(tmp_path / "clean")]) == 0
+        clean_summary = capsys.readouterr().out.splitlines()[0]
         directory = tmp_path / "ck"
         assert cli_main(
             base + ["--checkpoint-dir", str(directory), "--inject-fault", "3"]
@@ -503,7 +505,10 @@ class TestCLIResume:
                 "--output", str(tmp_path / "resumed"),
             ]
         ) == 0
-        assert "3 shard(s) restored from checkpoint" in capsys.readouterr().out
+        resumed_out = capsys.readouterr().out
+        assert "3 shard(s) restored from checkpoint" in resumed_out
+        # The modeled summary line (steps, kernel time) matches too.
+        assert resumed_out.splitlines()[0] == clean_summary
         clean = load_npz_checked(tmp_path / "clean.npz", require_checksum=True)
         resumed = load_npz_checked(
             tmp_path / "resumed.npz", require_checksum=True
@@ -708,15 +713,21 @@ class TestFifoBackpressure:
 
 
 def test_checkpoint_shard_reports_survive_strip(engine, starts, tmp_path):
-    """The persisted report drops only re-derivable weight (session, tracer)."""
+    """The persisted report drops only the graph; the walk's records stay."""
     from repro.runtime import create_backend, plan_run
-    from repro.runtime.durability import _strip_report
+    from repro.runtime.backends import strip_report
 
     plan = plan_run("fpga-model", UniformWalk(), 4, starts, shards=1, seed=3)
     backend = create_backend("fpga-model", engine.runtime_context())
     report = backend.execute(plan, plan.shards[0])
-    stripped = _strip_report(report)
-    assert stripped.session is None
+    stripped = strip_report(report)
+    assert stripped.session.graph is None
+    assert report.session.graph is engine.graph  # the original is untouched
+    assert len(stripped.session.records) == len(report.session.records)
     np.testing.assert_array_equal(stripped.paths, report.paths)
     fields = {f.name for f in dataclasses.fields(report)}
-    assert {"paths", "lengths", "breakdown"} <= fields
+    assert {"paths", "lengths", "session"} <= fields
+    # The merge re-attaches the graph and costs the walk.
+    merged = backend.merge(plan, [stripped])
+    assert merged.session.graph is engine.graph
+    assert merged.kernel_s > 0

@@ -120,14 +120,14 @@ class TestSchedulerConfig:
     @pytest.mark.parametrize("workers", [0, -1, -8])
     def test_invalid_max_workers_fails_at_construction(self, workers):
         with pytest.raises(ConfigError, match="max_workers"):
-            BatchScheduler(parallel=True, max_workers=workers)
+            BatchScheduler(mode="thread", max_workers=workers)
 
     def test_oversized_pool_is_clamped_to_shards(self, engine, starts):
         # max_workers far above the shard count must not crash or change walks.
         baseline = engine.run(UniformWalk(), 4, starts=starts, shards=2)
         plan = plan_run("fpga-model", UniformWalk(), 4, starts, shards=2, seed=3)
         backend = create_backend("fpga-model", engine.runtime_context())
-        scheduler = BatchScheduler(parallel=True, max_workers=64)
+        scheduler = BatchScheduler(mode="thread", max_workers=64)
         outcome = scheduler.execute(backend, plan)
         assert outcome.ok and outcome.retries == 0
         np.testing.assert_array_equal(outcome.report.paths, baseline.paths)
@@ -183,6 +183,9 @@ class TestDegradedMode:
         # in global query-id order.
         surviving = np.setdiff1d(np.arange(clean.executed_queries), lost)
         np.testing.assert_array_equal(part.paths, clean.paths[surviving])
+        # The survivors are costed once, extrapolated to their share only.
+        assert part.breakdown.num_queries == part.executed_queries
+        assert part.total_steps == int(part.lengths.sum())
 
     def test_parallel_degraded_matches_sequential(self, engine, starts):
         faults = [InjectedFault(shard=1, fail_attempts=-1)]
@@ -191,7 +194,7 @@ class TestDegradedMode:
         )
         par = engine.run(
             UniformWalk(), 5, starts=starts, shards=4, strict=False, faults=faults,
-            parallel=True,
+            mode="thread",
         )
         np.testing.assert_array_equal(seq.paths, par.paths)
         assert [f.shard for f in seq.failures] == [f.shard for f in par.failures]

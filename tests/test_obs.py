@@ -220,25 +220,24 @@ class TestBackendMetrics:
         assert metrics.total("time.component_seconds") > 0
 
     def test_sharded_runs_label_per_shard(self, labeled_graph):
+        """Shard spans are per shard; modeled counters are per run."""
         obs = Observer()
         engine = LightRW(labeled_graph, hardware_scale=64, seed=2)
         engine.run(
             UniformWalk(), 4, max_sampled_queries=32, shards=2, observer=obs
         )
-        shards = {
-            s.labels.get("shard")
-            for s in obs.metrics.series()
-            if s.name == "dram.bytes_read"
-        }
-        assert shards == {0, 1}
-        # Per-shard spans nest under the run span.
+        modeled = [s for s in obs.metrics.series() if s.name == "dram.bytes_read"]
+        assert len(modeled) == 1
+        assert "shard" not in modeled[0].labels
+        # Per-shard spans nest under the run span; the cost stage runs
+        # once, under the merge span.
         run = obs.spans.find("run")[0]
+        merge = obs.spans.find("merge")[0]
         shard_spans = obs.spans.find("shard")
-        assert len(shard_spans) == 2
-        assert {s.parent_id for s in shard_spans} <= {
-            run.span_id,
-            obs.spans.find("merge")[0].parent_id,
-        }
+        assert sorted(s.attrs["shard"] for s in shard_spans) == [0, 1]
+        assert {s.parent_id for s in shard_spans} <= {run.span_id, merge.parent_id}
+        (model,) = obs.spans.find("perf-model")
+        assert model.parent_id == merge.span_id
 
     def test_off_by_default_records_nothing(self, labeled_graph):
         engine = LightRW(labeled_graph, hardware_scale=64, seed=2)

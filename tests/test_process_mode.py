@@ -41,13 +41,9 @@ class TestModeSelection:
             BatchScheduler(mode="fibers")
 
     def test_resolved_mode_defaults(self):
-        assert BatchScheduler().resolved_mode == "sequential"
-        assert BatchScheduler(parallel=True).resolved_mode == "thread"
-        assert BatchScheduler(mode="process").resolved_mode == "process"
-        # An explicit mode wins over the legacy parallel flag.
-        assert BatchScheduler(parallel=True, mode="sequential").resolved_mode == (
-            "sequential"
-        )
+        assert BatchScheduler().mode == "sequential"
+        assert BatchScheduler(mode="thread").mode == "thread"
+        assert BatchScheduler(mode="process").mode == "process"
 
     def test_process_requires_capability(self, labeled_graph, starts):
         """fpga-cycle does not declare process_safe: fail fast, not midway."""
@@ -55,7 +51,7 @@ class TestModeSelection:
             labeled_graph, backend="fpga-cycle", hardware_scale=64, seed=6
         )
         with pytest.raises(ConfigError, match="process_safe"):
-            engine.run(UniformWalk(), 3, starts=starts, shards=2, mode="process")
+            engine.run(UniformWalk(), 3, starts=starts, mode="process")
 
 
 class TestProcessParity:

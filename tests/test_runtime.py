@@ -142,17 +142,24 @@ class TestShardParity:
         starts = make_queries(labeled_graph, n_queries=24, seed=6)
         engine = LightRW(labeled_graph, backend=backend, hardware_scale=64, seed=6)
         one = engine.run(Node2VecWalk(), 6, starts=starts, shards=1)
+        if not backend_capabilities(backend).shardable:
+            # The cycle simulator walks and costs in one pass: refused at
+            # plan time instead of costing shards separately.
+            with pytest.raises(ConfigError, match="single shard"):
+                engine.run(Node2VecWalk(), 6, starts=starts, shards=4)
+            return
         four = engine.run(Node2VecWalk(), 6, starts=starts, shards=4)
         width = min(one.paths.shape[1], four.paths.shape[1])
         np.testing.assert_array_equal(one.paths[:, :width], four.paths[:, :width])
         np.testing.assert_array_equal(one.lengths, four.lengths)
         assert one.total_steps == four.total_steps
+        assert one.kernel_s == four.kernel_s
 
     def test_parallel_pool_matches_sequential(self, labeled_graph):
         starts = make_queries(labeled_graph, n_queries=32, seed=9)
         engine = LightRW(labeled_graph, hardware_scale=64, seed=9)
         seq = engine.run(Node2VecWalk(), 8, starts=starts, shards=4)
-        pooled = engine.run(Node2VecWalk(), 8, starts=starts, shards=4, parallel=True)
+        pooled = engine.run(Node2VecWalk(), 8, starts=starts, shards=4, mode="thread")
         np.testing.assert_array_equal(seq.paths, pooled.paths)
         np.testing.assert_array_equal(seq.lengths, pooled.lengths)
 
@@ -161,7 +168,7 @@ class TestShardParity:
         model = LightRW(labeled_graph, backend="fpga-model", hardware_scale=64, seed=6)
         cycle = LightRW(labeled_graph, backend="fpga-cycle", hardware_scale=64, seed=6)
         r_model = model.run(Node2VecWalk(), 5, starts=starts, shards=3)
-        r_cycle = cycle.run(Node2VecWalk(), 5, starts=starts, shards=3)
+        r_cycle = cycle.run(Node2VecWalk(), 5, starts=starts)
         for q in range(12):
             length = r_model.lengths[q]
             assert r_cycle.lengths[q] == length
@@ -201,8 +208,17 @@ class TestMergedReports:
         merged = engine.run(UniformWalk(), 5, starts=starts, shards=4)
         assert merged.session is not None
         assert merged.session.num_queries == 20
+        assert merged.session.graph is labeled_graph
         seen = np.concatenate([r.query_ids for r in merged.session.records])
         assert seen.max() == 19
+        # Step-aligned: one record per step, exactly as one shard records.
+        single = engine.run(UniformWalk(), 5, starts=starts, shards=1)
+        assert len(merged.session.records) == len(single.session.records)
+        for got, want in zip(merged.session.records, single.session.records):
+            assert got.step == want.step
+            np.testing.assert_array_equal(got.query_ids, want.query_ids)
+            np.testing.assert_array_equal(got.curr, want.curr)
+            np.testing.assert_array_equal(got.next_vertex, want.next_vertex)
 
     def test_scheduler_rejects_empty_plan(self, labeled_graph):
         backend = create_backend(
@@ -224,7 +240,7 @@ class TestMergedReports:
     def test_cycle_merge_keeps_instances(self, labeled_graph):
         starts = make_queries(labeled_graph, n_queries=16, seed=2)
         engine = LightRW(labeled_graph, backend="fpga-cycle", hardware_scale=64, seed=2)
-        merged = engine.run(UniformWalk(), 4, starts=starts, shards=2)
+        merged = engine.run(UniformWalk(), 4, starts=starts)
         native = merged.breakdown.detail
         assert len(native.instances) == engine.config.n_instances
         assert merged.breakdown.utilization_report()

@@ -1,0 +1,86 @@
+"""Modeled outputs do not depend on host execution settings.
+
+Shards parallelize the walk; the cost model runs once on the merged walk.
+So for any shard count and execution mode, a run returns the same paths,
+the same modeled numbers (``kernel_s``, ``total_steps``, latencies, the
+breakdown) and records the same modeled metrics as a sequential one-shard
+run of the same plan.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import LightRW, Observer
+from repro.core.queries import make_queries
+from repro.graph.generators import chung_lu_graph
+from repro.graph.labels import assign_random_weights
+from repro.runtime import EXECUTION_MODES
+from repro.walks.node2vec import Node2VecWalk
+from tests.helpers import assert_same, assert_same_result, modeled_metrics
+
+SHARDS = st.sampled_from([1, 2, 4, 16])
+
+
+@lru_cache(maxsize=1)
+def _graph():
+    graph = chung_lu_graph(192, avg_degree=8.0, seed=11, directed=False, name="inv")
+    return assign_random_weights(graph, seed=12)
+
+
+def _observed(call):
+    observer = Observer()
+    return call(observer), observer
+
+
+def _assert_invariant(got, got_obs, want, want_obs) -> None:
+    assert_same(got.breakdown.components(), want.breakdown.components(), "components")
+    # The manifest records the shard count itself; everything else matches.
+    assert_same_result(got, want, ignore=("manifest",))
+    assert modeled_metrics(got_obs) == modeled_metrics(want_obs)
+    assert modeled_metrics(want_obs)
+
+
+@pytest.mark.parametrize("mode", EXECUTION_MODES)
+@pytest.mark.parametrize("backend", ["fpga-model", "cpu-baseline"])
+@given(shards=SHARDS, seed=st.integers(0, 2**16))
+@settings(max_examples=10, deadline=None)
+def test_walk_runs_match_one_sequential_shard(backend, mode, shards, seed):
+    engine = LightRW(_graph(), backend=backend, hardware_scale=64, seed=seed)
+    # More queries than are walked: the single cost stage extrapolates.
+    starts = make_queries(engine.graph, n_queries=120, seed=seed)
+
+    def run(observer, **kwargs):
+        return engine.run(
+            Node2VecWalk(), 6, starts=starts, max_sampled_queries=40,
+            observer=observer, **kwargs,
+        )
+
+    want, want_obs = _observed(run)
+    got, got_obs = _observed(
+        lambda obs: run(obs, shards=shards, mode=mode, workers=2)
+    )
+    _assert_invariant(got, got_obs, want, want_obs)
+
+
+@pytest.mark.parametrize("mode", EXECUTION_MODES)
+@given(shards=SHARDS, seed=st.integers(0, 2**16), alpha=st.sampled_from([0.1, 0.4]))
+@settings(max_examples=8, deadline=None)
+def test_restart_runs_match_one_sequential_shard(mode, shards, seed, alpha):
+    engine = LightRW(_graph(), hardware_scale=64, seed=seed)
+    starts = make_queries(engine.graph, n_queries=48, seed=seed)
+
+    def run(observer, **kwargs):
+        return engine.run_restart(
+            8, alpha=alpha, starts=starts, observer=observer, **kwargs
+        )
+
+    want, want_obs = _observed(run)
+    got, got_obs = _observed(
+        lambda obs: run(obs, shards=shards, mode=mode, workers=2)
+    )
+    _assert_invariant(got, got_obs, want, want_obs)
