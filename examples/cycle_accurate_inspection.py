@@ -40,13 +40,13 @@ def main() -> None:
         for q in range(starts.size)
     )
     print(f"walks bit-identical across backends: {identical}")
-    print(f"cycle-accurate kernel: {r_cycle.breakdown.cycles} cycles "
+    print(f"cycle-accurate kernel: {r_cycle.breakdown.detail.cycles} cycles "
           f"({r_cycle.kernel_s * 1e6:.1f} us at 300 MHz)")
-    print(f"analytic model kernel: {r_model.breakdown.kernel_cycles:.0f} cycles "
+    print(f"analytic model kernel: {r_model.breakdown.detail.kernel_cycles:.0f} cycles "
           f"({r_model.kernel_s * 1e6:.1f} us)")
 
     print("\nper-instance hardware counters (cycle backend):")
-    for index, stats in enumerate(r_cycle.breakdown.instances):
+    for index, stats in enumerate(r_cycle.breakdown.detail.instances):
         if stats.cycles == 0:
             continue
         print(f"  instance {index}: {stats.cycles} cycles, "
@@ -58,7 +58,7 @@ def main() -> None:
 
     print("\npipeline utilization (busy fraction per module):")
     for name, value in sorted(
-        r_cycle.breakdown.utilization_report().items(), key=lambda kv: -kv[1]
+        r_cycle.breakdown.detail.utilization_report().items(), key=lambda kv: -kv[1]
     ):
         print(f"  {name:<16}{value:6.1%}")
 

@@ -12,7 +12,7 @@ Usage:  python examples/personalized_pagerank.py
 import numpy as np
 
 from repro import LightRW, load_dataset
-from repro.walks.ppr import exact_ppr, visit_frequencies
+from repro.walks.ppr import RestartWalk, exact_ppr, visit_frequencies
 
 SCALE = 1024
 ALPHA = 0.15
@@ -29,7 +29,7 @@ def main() -> None:
 
     engine = LightRW(graph, hardware_scale=SCALE, seed=13)
     starts = np.full(2000, user, dtype=np.int64)
-    result = engine.run_restart(n_steps=40, alpha=ALPHA, starts=starts)
+    result = engine.run(RestartWalk(ALPHA), n_steps=40, starts=starts)
     print(f"\nran {result.num_queries} restart walks x 40 steps: "
           f"{result.total_steps} steps in {result.kernel_s * 1e3:.2f} ms modeled "
           f"({result.steps_per_second:.3g} steps/s)")

@@ -56,7 +56,6 @@ from repro.runtime import (
     TimingBreakdown,
     backend_names,
     register_backend,
-    resume_run,
 )
 from repro.walks.metapath import MetaPathWalk
 from repro.walks.node2vec import Node2VecWalk
@@ -110,7 +109,6 @@ __all__ = [
     "load_dataset",
     "make_queries",
     "register_backend",
-    "resume_run",
     "rmat_graph",
     "sample_queries",
     "use_observer",

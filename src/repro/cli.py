@@ -47,6 +47,7 @@ from repro.obs import (
 from repro.runtime import (
     EXECUTION_MODES,
     InjectedFault,
+    RetryPolicy,
     backend_names,
     describe_backends,
 )
@@ -166,8 +167,9 @@ def cmd_walk(args: argparse.Namespace) -> int:
         shards=args.shards, mode=args.mode, workers=args.workers,
         trace=bool(args.trace_out),
         strict=not args.no_strict,
-        retries=args.retries,
-        shard_timeout_s=args.shard_timeout,
+        retry=RetryPolicy(
+            max_attempts=args.retries + 1, shard_timeout_s=args.shard_timeout
+        ),
         faults=faults or None,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
@@ -302,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     walk.add_argument(
         "--mode", choices=list(EXECUTION_MODES), default="sequential",
-        help="execution mode: 'thread' runs shards on a thread pool "
-             "(thread-safe backends), 'process' on worker processes "
-             "(process-safe backends); results are identical in every mode",
+        help="execution mode: 'thread' runs shards on a thread pool, "
+             "'process' on worker processes; results are identical in "
+             "every mode",
     )
     walk.add_argument(
         "--workers", type=int, default=None, metavar="N",

@@ -69,7 +69,6 @@ from repro.runtime import (
     RuntimeContext,
     ShardFailure,
     TimingBreakdown,
-    backend_names,
     create_backend,
     plan_run,
     resolve_backend,
@@ -78,15 +77,6 @@ from repro.walks.base import WalkAlgorithm
 from repro.walks.stepper import WalkSession
 
 logger = logging.getLogger(__name__)
-
-
-def _backends_tuple() -> tuple[str, ...]:
-    return backend_names()
-
-
-#: Registered backend names (kept as a module attribute for backward
-#: compatibility; the authoritative list is the runtime registry).
-BACKENDS = _backends_tuple()
 
 
 @dataclass
@@ -250,8 +240,6 @@ class LightRW:
         observer: Observer | None = None,
         trace: bool = False,
         strict: bool = True,
-        retries: int = 0,
-        shard_timeout_s: float | None = None,
         retry: RetryPolicy | None = None,
         faults: Sequence[InjectedFault] | None = None,
         checkpoint_dir: str | Path | None = None,
@@ -263,6 +251,9 @@ class LightRW:
         ----------
         algorithm:
             The GDRW weight-update function (MetaPathWalk, Node2VecWalk, ...).
+            A :class:`~repro.walks.RestartWalk` runs a random walk with
+            restart (personalized PageRank); only backends declaring
+            ``supports_restart`` (the ``fpga-model`` built-in) accept it.
         n_steps:
             Steps per query (5 for MetaPath, 80 for Node2Vec in the paper).
         starts:
@@ -279,10 +270,9 @@ class LightRW:
             are identical for any shard count (per-query RNG is keyed by
             global query id).
         mode:
-            Execution mode: ``"sequential"``, ``"thread"`` (a thread pool
-            on thread-safe backends) or ``"process"`` (worker processes;
-            requires a backend that declares ``process_safe``).  Results
-            are identical in every mode.
+            Execution mode: ``"sequential"``, ``"thread"`` (a thread
+            pool) or ``"process"`` (worker processes; the backend and
+            plan must pickle).  Results are identical in every mode.
         workers:
             Worker-pool width for the thread/process modes (defaults to
             the CPU count, clamped to the shard count).
@@ -299,15 +289,10 @@ class LightRW:
             exhausts its retries; ``False`` returns the surviving shards
             as a partial result with the failures on
             :attr:`RunResult.failures`.
-        retries:
-            Extra attempts per failed shard (0 = fail fast).
-        shard_timeout_s:
-            Wall-clock budget per shard attempt; expiry counts as a
-            failure and is retried like one.
         retry:
-            Full :class:`~repro.runtime.RetryPolicy` (backoff and
-            deterministic jitter included); overrides ``retries`` and
-            ``shard_timeout_s``.
+            Per-shard :class:`~repro.runtime.RetryPolicy`: attempt
+            budget, backoff with deterministic jitter, and a per-attempt
+            timeout.  Default: one attempt, no timeout.
         faults:
             Deterministic :class:`~repro.runtime.InjectedFault` specs for
             testing the failure paths (see :mod:`repro.runtime.faults`).
@@ -321,162 +306,51 @@ class LightRW:
             existing, configuration-compatible checkpoint
             (:class:`~repro.errors.ConfigError` otherwise).
         """
-        obs = self._observer_for(observer)
-        with use_observer(obs), obs.span(
-            "run", backend=self.backend, algorithm=algorithm.name
-        ):
-            plan = self._plan(
-                algorithm,
-                n_steps,
-                starts,
-                max_sampled_queries=max_sampled_queries,
-                record_latency=record_latency,
-                include_pcie=include_pcie,
-                shards=shards,
-                trace=trace,
-            )
-            return self._execute(
-                plan,
-                mode=mode,
-                workers=workers,
-                strict=strict,
-                retry=retry
-                or RetryPolicy(
-                    max_attempts=int(retries) + 1, shard_timeout_s=shard_timeout_s
-                ),
-                faults=faults,
-                checkpoint_dir=checkpoint_dir,
-                resume=resume,
-            )
-
-    def run_restart(
-        self,
-        n_steps: int,
-        alpha: float = 0.15,
-        starts: np.ndarray | None = None,
-        max_sampled_queries: int = 4096,
-        include_pcie: bool = True,
-        shards: int = 1,
-        mode: str = "sequential",
-        workers: int | None = None,
-        observer: Observer | None = None,
-        strict: bool = True,
-        retries: int = 0,
-        shard_timeout_s: float | None = None,
-        retry: RetryPolicy | None = None,
-        faults: Sequence[InjectedFault] | None = None,
-        checkpoint_dir: str | Path | None = None,
-        resume: bool = False,
-    ) -> RunResult:
-        """Random walk with restart (personalized PageRank) on the model.
-
-        Teleports are free steps for the hardware (the Query Controller
-        decides before any memory access), which the recorded trace
-        reflects; only backends whose capabilities declare
-        ``supports_restart`` (the ``fpga-model`` built-in) run this walk.
-        """
-        from repro.walks.ppr import RestartWalk
-
-        obs = self._observer_for(observer)
-        with use_observer(obs), obs.span(
-            "run", backend=self.backend, algorithm="restart"
-        ):
-            plan = self._plan(
-                RestartWalk(alpha),
-                n_steps,
-                starts,
-                max_sampled_queries=max_sampled_queries,
-                record_latency=True,
-                include_pcie=include_pcie,
-                shards=shards,
-                restart_alpha=alpha,
-            )
-            return self._execute(
-                plan,
-                mode=mode,
-                workers=workers,
-                strict=strict,
-                retry=retry
-                or RetryPolicy(
-                    max_attempts=int(retries) + 1, shard_timeout_s=shard_timeout_s
-                ),
-                faults=faults,
-                checkpoint_dir=checkpoint_dir,
-                resume=resume,
-            )
-
-    # -- runtime plumbing ----------------------------------------------------
-
-    def _observer_for(self, observer: Observer | None) -> Observer:
-        """Per-run observer, falling back to engine-level then ambient."""
-        return observer or self.observer or current_observer()
-
-    def _plan(
-        self,
-        algorithm: WalkAlgorithm,
-        n_steps: int,
-        starts: np.ndarray | None,
-        *,
-        max_sampled_queries: int,
-        record_latency: bool,
-        include_pcie: bool,
-        shards: int,
-        restart_alpha: float | None = None,
-        trace: bool = False,
-    ) -> ExecutionPlan:
-        if starts is None:
-            starts = make_queries(self.graph, seed=self.seed)
-        return plan_run(
-            self.backend,
-            algorithm,
-            n_steps,
-            np.asarray(starts, dtype=np.int64),
-            max_sampled_queries=max_sampled_queries,
-            record_latency=record_latency,
-            include_pcie=include_pcie,
-            shards=shards,
-            restart_alpha=restart_alpha,
-            seed=self.seed,
-            trace=trace,
-        )
-
-    def _execute(
-        self,
-        plan: ExecutionPlan,
-        *,
-        mode: str = "sequential",
-        workers: int | None = None,
-        strict: bool = True,
-        retry: RetryPolicy | None = None,
-        faults: Sequence[InjectedFault] | None = None,
-        checkpoint_dir: str | Path | None = None,
-        resume: bool = False,
-    ) -> RunResult:
         if resume and checkpoint_dir is None:
             raise ConfigError(
                 "resume=True requires a checkpoint_dir pointing at the "
                 "interrupted run's checkpoint directory"
             )
-        checkpoint = None
-        if checkpoint_dir is not None:
-            checkpoint = RunCheckpoint.open(
-                checkpoint_dir,
-                plan,
+        obs = observer or self.observer or current_observer()
+        with use_observer(obs), obs.span(
+            "run", backend=self.backend, algorithm=algorithm.name
+        ):
+            if starts is None:
+                starts = make_queries(self.graph, seed=self.seed)
+            plan = plan_run(
+                self.backend,
+                algorithm,
+                n_steps,
+                np.asarray(starts, dtype=np.int64),
+                max_sampled_queries=max_sampled_queries,
+                record_latency=record_latency,
+                include_pcie=include_pcie,
+                shards=shards,
                 seed=self.seed,
-                config_hash=config_fingerprint(self.config),
-                resume=resume,
+                trace=trace,
             )
-        backend = create_backend(self.backend, self.runtime_context())
-        if faults:
-            backend = FaultInjectionBackend(backend, faults)
-        scheduler = BatchScheduler(
-            mode=mode,
-            max_workers=workers,
-            retry=retry or RetryPolicy(),
-            strict=strict,
-        )
-        outcome = scheduler.execute(backend, plan, checkpoint=checkpoint)
-        return self._package(plan, outcome, strict=strict)
+            checkpoint = None
+            if checkpoint_dir is not None:
+                checkpoint = RunCheckpoint.open(
+                    checkpoint_dir,
+                    plan,
+                    seed=self.seed,
+                    config_hash=config_fingerprint(self.config),
+                    resume=resume,
+                )
+            backend = create_backend(self.backend, self.runtime_context())
+            if faults:
+                backend = FaultInjectionBackend(backend, faults)
+            scheduler = BatchScheduler(
+                mode=mode,
+                max_workers=workers,
+                retry=retry or RetryPolicy(),
+                strict=strict,
+            )
+            outcome = scheduler.execute(backend, plan, checkpoint=checkpoint)
+            return self._package(plan, outcome, strict=strict)
+
+    # -- runtime plumbing ----------------------------------------------------
 
     def _package(
         self, plan: ExecutionPlan, outcome: BatchOutcome, *, strict: bool = True

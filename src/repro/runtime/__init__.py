@@ -49,7 +49,6 @@ from repro.runtime.durability import (
     RunCheckpoint,
     SweepCheckpoint,
     plan_fingerprint,
-    resume_run,
 )
 from repro.runtime.faults import (
     FaultInjectionBackend,
@@ -104,6 +103,5 @@ __all__ = [
     "plan_run",
     "register_backend",
     "resolve_backend",
-    "resume_run",
     "unregister_backend",
 ]

@@ -78,12 +78,6 @@ class BackendCapabilities:
     #: May the planner split the batch into several shards?  False for a
     #: backend that walks and costs in one indivisible pass.
     shardable: bool = True
-    #: Safe to execute shards concurrently from a thread pool?
-    thread_safe: bool = True
-    #: Safe to execute shards in worker *processes*?  Requires the
-    #: backend, the plan and the shard reports to round-trip through
-    #: pickle; opt-in because custom backends may hold live handles.
-    process_safe: bool = False
     #: Does this backend pay the host<->device PCIe transfer?
     uses_pcie: bool = True
     #: Appear in engine-comparison benchmarks (fig14/15/16/17 style)?
@@ -290,25 +284,22 @@ class FPGAModelBackend(Backend):
         system_label="LightRW",
         supports_query_sampling=True,
         supports_restart=True,
-        thread_safe=True,
-        process_safe=True,
         uses_pcie=True,
         compare_in_benchmarks=True,
     )
 
     def execute(self, plan: "ExecutionPlan", shard: "QueryShard") -> BackendReport:
+        from repro.walks.ppr import RestartWalk, run_restart_walks
         from repro.walks.stepper import PWRSSampler, run_walks
 
         ctx = self.context
         with span("walk", backend=self.name):
-            if plan.restart_alpha is not None:
-                from repro.walks.ppr import run_restart_walks
-
+            if isinstance(plan.algorithm, RestartWalk):
                 session = run_restart_walks(
                     ctx.graph,
                     shard.starts,
                     plan.n_steps,
-                    alpha=plan.restart_alpha,
+                    alpha=plan.algorithm.alpha,
                     k=ctx.config.k,
                     seed=ctx.seed,
                     query_ids=shard.query_ids(),
@@ -444,8 +435,6 @@ class CPUBaselineBackend(Backend):
         system_label="ThunderRW",
         supports_query_sampling=True,
         supports_restart=False,
-        thread_safe=True,
-        process_safe=True,
         uses_pcie=False,
         compare_in_benchmarks=True,
     )

@@ -46,7 +46,6 @@ from repro.errors import ArtifactCorruptionError, ConfigError
 from repro.runtime.backends import strip_report
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.api import RunResult
     from repro.runtime.backends import BackendReport
     from repro.runtime.plan import ExecutionPlan
 
@@ -56,7 +55,6 @@ __all__ = [
     "RunCheckpoint",
     "SweepCheckpoint",
     "plan_fingerprint",
-    "resume_run",
 ]
 
 #: Metadata file identifying a run-checkpoint directory.
@@ -88,7 +86,6 @@ def plan_fingerprint(plan: "ExecutionPlan", seed: int, config_hash: str = "") ->
         "n_steps": plan.n_steps,
         "total_queries": plan.total_queries,
         "shards": [(s.index, s.offset, s.num_queries) for s in plan.shards],
-        "restart_alpha": plan.restart_alpha,
         "seed": int(seed),
         "config_hash": config_hash,
     }
@@ -238,10 +235,6 @@ class RunCheckpoint:
                 )
         return restored
 
-    def completed_indices(self) -> tuple[int, ...]:
-        """Shard indices with a verifiable checkpoint on disk."""
-        return tuple(sorted(self.load_completed()))
-
 
 class SweepCheckpoint:
     """Experiment-granular persistence of one bench sweep."""
@@ -289,27 +282,3 @@ class SweepCheckpoint:
         write_json_artifact(
             self.path, {"completed": done}, kind="bench-sweep"
         )
-
-
-def resume_run(
-    engine,
-    algorithm,
-    n_steps: int,
-    checkpoint_dir: str | Path,
-    **kwargs,
-) -> "RunResult":
-    """Resume an interrupted :meth:`LightRW.run` from its checkpoint.
-
-    Thin convenience over ``engine.run(..., checkpoint_dir=...,
-    resume=True)``; validates up front that a checkpoint actually exists
-    so a typo'd directory is a :class:`ConfigError`, not a fresh run.
-    """
-    run_file = Path(checkpoint_dir) / RUN_FILE
-    if not run_file.exists():
-        raise ConfigError(
-            f"cannot resume: no run checkpoint at {run_file} (start a run "
-            f"with checkpoint_dir={str(checkpoint_dir)!r} first)"
-        )
-    return engine.run(
-        algorithm, n_steps, checkpoint_dir=checkpoint_dir, resume=True, **kwargs
-    )

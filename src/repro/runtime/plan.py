@@ -28,6 +28,7 @@ from repro.errors import ConfigError
 from repro.obs import span
 from repro.runtime.backends import resolve_backend
 from repro.walks.base import WalkAlgorithm
+from repro.walks.ppr import RestartWalk
 
 logger = logging.getLogger(__name__)
 
@@ -69,8 +70,6 @@ class ExecutionPlan:
     shards: tuple[QueryShard, ...] = field(default=())
     record_latency: bool = True
     include_pcie: bool = True
-    #: Restart probability for PPR-style walks (None for plain walks).
-    restart_alpha: float | None = None
     #: Cycle budget forwarded to the cycle-accurate simulator.
     max_cycles: int = 50_000_000
     #: Record pipeline events on backends that support it (``fpga-cycle``);
@@ -117,7 +116,6 @@ def plan_run(
     record_latency: bool = True,
     include_pcie: bool = True,
     shards: int = 1,
-    restart_alpha: float | None = None,
     max_cycles: int = 50_000_000,
     seed: int = 0,
     trace: bool = False,
@@ -139,10 +137,10 @@ def plan_run(
                 f"backend {backend!r} walks and costs a batch in one pass and "
                 f"runs a single shard; got shards={shards}"
             )
-        if restart_alpha is not None and not caps.supports_restart:
+        if isinstance(algorithm, RestartWalk) and not caps.supports_restart:
             raise ConfigError(
-                f"restart walks are supported on the fpga-model backend, "
-                f"not {backend!r}"
+                f"backend {backend!r} does not run walks with restart; "
+                f"use the 'fpga-model' backend"
             )
 
         if caps.supports_query_sampling:
@@ -168,7 +166,6 @@ def plan_run(
             shards=_partition(sampled, total, shard_count),
             record_latency=record_latency,
             include_pcie=include_pcie,
-            restart_alpha=restart_alpha,
             max_cycles=max_cycles,
             trace=trace,
         )

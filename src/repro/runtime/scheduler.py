@@ -2,10 +2,9 @@
 
 Large query batches are split into shards by the planner; the scheduler
 drives a backend's **walk stage** over them in one of three execution
-modes — sequentially by default, through a thread pool for backends whose
-execution is thread safe (the functional stepper releases the GIL inside
-its numpy kernels, so shards genuinely overlap), or through a *process
-pool* for backends that declare ``process_safe``: each worker process
+modes — sequentially by default, through a thread pool (the functional
+stepper releases the GIL inside its numpy kernels, so shards genuinely
+overlap), or through a *process pool*: each worker process
 materializes the pickled (backend, plan) payload once, executes shard
 attempts under its own observer, and ships the (stripped) report plus
 exported metrics/spans back for the parent to merge.  The walked shards
@@ -294,13 +293,12 @@ class BatchScheduler:
         result and reports the failures on the :class:`BatchOutcome`.
     mode:
         Execution mode — ``"sequential"`` (default), ``"thread"`` or
-        ``"process"``.  ``"thread"`` uses a thread pool when the backend
-        declares ``thread_safe`` (sequential otherwise).  ``"process"``
-        fans shards out to a ``ProcessPoolExecutor`` and requires the
-        backend to declare ``process_safe`` (a
-        :class:`~repro.errors.ConfigError` otherwise); each worker's
-        metrics/spans are merged back into the parent observer.  Walks
-        and modeled numbers are identical in every mode.
+        ``"process"``.  ``"thread"`` runs shards on a thread pool.
+        ``"process"`` fans shards out to a ``ProcessPoolExecutor``; the
+        backend and plan must pickle (a :class:`~repro.errors.ConfigError`
+        before any shard runs otherwise), and each worker's metrics/spans
+        are merged back into the parent observer.  Walks and modeled
+        numbers are identical in every mode.
     """
 
     max_workers: int | None = None
@@ -335,11 +333,6 @@ class BatchScheduler:
         shards = plan.shards
         if not shards:
             raise ValueError("plan has no shards to execute")
-        if self.mode == "process" and not backend.capabilities.process_safe:
-            raise ConfigError(
-                f"backend {backend.name!r} does not declare process_safe "
-                f"execution; use mode='thread' or mode='sequential'"
-            )
         obs = current_observer()
         policy = self.retry
 
@@ -469,6 +462,14 @@ class BatchScheduler:
 
         pending = [shard for shard in shards if shard.index not in restored]
         if self.mode == "process" and len(pending) > 1:
+            try:
+                payload = pickle.dumps((backend, plan, obs.enabled))
+            except (pickle.PicklingError, TypeError, AttributeError) as exc:
+                raise ConfigError(
+                    f"backend {backend.name!r} cannot be sent to worker "
+                    f"processes ({type(exc).__name__}: {exc}); use "
+                    f"mode='thread' or mode='sequential'"
+                ) from exc
             requested = self.max_workers or (os.cpu_count() or 1)
             workers = min(requested, len(pending))
             logger.debug(
@@ -479,7 +480,6 @@ class BatchScheduler:
                 obs.metrics.gauge(
                     "run.process_workers", backend=backend.name
                 ).set(workers)
-            payload = pickle.dumps((backend, plan, obs.enabled))
             start_method = (
                 "fork"
                 if "fork" in multiprocessing.get_all_start_methods()
@@ -509,11 +509,7 @@ class BatchScheduler:
                         executed = list(coordinator.map(run_shard, pending))
                 finally:
                     process_pool = None
-        elif (
-            self.mode == "thread"
-            and len(pending) > 1
-            and backend.capabilities.thread_safe
-        ):
+        elif self.mode == "thread" and len(pending) > 1:
             requested = self.max_workers or (os.cpu_count() or 1)
             workers = min(requested, len(pending))
             logger.debug(

@@ -14,10 +14,8 @@ a small dataclass hierarchy:
 A breakdown always describes one cost-model evaluation of a whole run:
 backends cost the merged walk once, so nothing here adds shards up.
 
-Backward compatibility: attribute access falls through to ``detail``, so
-existing code reading e.g. ``result.breakdown.cache_accesses`` (analytic
-model) or ``result.breakdown.instances`` (cycle simulator) keeps working
-unchanged.
+Backend-native figures (the analytic model's ``cache_accesses``, the
+cycle simulator's ``instances``, ...) are read from ``.detail``.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ class TimingBreakdown:
     """Backend-independent view of one modeled execution.
 
     ``detail`` holds the backend-native breakdown (``FPGATimeBreakdown``,
-    ``CycleSimResult`` or ``CPUTimeBreakdown``); unknown attributes are
-    delegated to it so legacy call sites keep working.
+    ``CycleSimResult`` or ``CPUTimeBreakdown``).
     """
 
     backend: str
@@ -50,18 +47,6 @@ class TimingBreakdown:
     def components(self) -> dict[str, float]:
         """Named time components (seconds); backend families refine this."""
         return {"kernel": self.kernel_s, "setup": self.setup_s}
-
-    def __getattr__(self, name: str) -> Any:
-        # Only reached when normal lookup fails; fall through to the
-        # backend-native breakdown for compatibility with pre-runtime code.
-        if name.startswith("_") or name == "detail":
-            raise AttributeError(name)
-        detail = self.__dict__.get("detail")
-        if detail is None:
-            raise AttributeError(
-                f"{type(self).__name__} has no attribute {name!r} and no detail"
-            )
-        return getattr(detail, name)
 
 
 @dataclass

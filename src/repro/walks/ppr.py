@@ -34,10 +34,11 @@ from repro.walks.stepper import (
 class RestartWalk(WalkAlgorithm):
     """Weighted walk with per-step restart probability ``alpha``.
 
-    The weight update itself is static (``w^t = w*``); the restart is
-    applied by :func:`run_restart_walks` after sampling, so this class is
-    usable anywhere a :class:`WalkAlgorithm` is expected (the restart then
-    simply never fires).
+    The neighbor choice samples the static weights (``w^t = w*``) and the
+    restart coin is flipped before it, both inside
+    :func:`run_restart_walks`, which is the only stepper for this walk:
+    run it with ``LightRW.run(RestartWalk(alpha), n_steps)`` on a backend
+    that declares ``supports_restart``.
     """
 
     name = "restart"
@@ -48,7 +49,11 @@ class RestartWalk(WalkAlgorithm):
         self.alpha = float(alpha)
 
     def dynamic_weights(self, ctx: StepContext) -> np.ndarray:
-        return ctx.static_weights.astype(np.float64)
+        # The generic steppers would walk this without ever restarting.
+        raise QueryError(
+            "RestartWalk is stepped by run_restart_walks, which applies the "
+            "restart; a generic stepper cannot run it"
+        )
 
 
 def run_restart_walks(

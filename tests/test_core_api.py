@@ -11,8 +11,10 @@ from repro.core.queries import make_queries, sample_queries
 from repro.core.results import latency_box_stats
 from repro.errors import ConfigError, QueryError
 from repro.graph.generators import path_graph
+from repro.obs import Observer
 from repro.walks.metapath import MetaPathWalk
 from repro.walks.node2vec import Node2VecWalk
+from repro.walks.ppr import RestartWalk
 from repro.walks.uniform import UniformWalk
 
 
@@ -173,24 +175,29 @@ class TestCompareEngines:
 
 
 class TestRestartFacade:
-    def test_run_restart_produces_walks_and_timing(self, labeled_graph):
+    def test_restart_walk_produces_walks_and_timing(self, labeled_graph):
         engine = LightRW(labeled_graph, hardware_scale=64, seed=3)
-        result = engine.run_restart(n_steps=10, alpha=0.2, max_sampled_queries=64)
+        result = engine.run(RestartWalk(0.2), 10, max_sampled_queries=64)
         assert result.algorithm == "restart"
         assert result.total_steps > 0
         assert result.kernel_s > 0
         assert result.query_latency_s is not None
 
-    def test_run_restart_paths_teleport_to_start(self, labeled_graph):
+    def test_restart_walk_paths_teleport_to_start(self, labeled_graph):
         starts = make_queries(labeled_graph, n_queries=16, seed=4)
         engine = LightRW(labeled_graph, hardware_scale=64, seed=4)
-        result = engine.run_restart(n_steps=12, alpha=0.5, starts=starts)
+        result = engine.run(RestartWalk(0.5), 12, starts=starts)
         for q in range(min(16, result.paths.shape[0])):
             path = result.paths[q][result.paths[q] >= 0]
             for u, v in zip(path[:-1], path[1:]):
                 assert labeled_graph.has_edge(int(u), int(v)) or v == path[0]
 
-    def test_run_restart_requires_model_backend(self, labeled_graph):
-        engine = LightRW(labeled_graph, backend="cpu-baseline", hardware_scale=64)
-        with pytest.raises(ConfigError):
-            engine.run_restart(n_steps=5)
+    def test_restart_walk_requires_model_backend(self, labeled_graph):
+        """Refused at plan time: these backends would walk it without restarts."""
+        starts = make_queries(labeled_graph, n_queries=8, seed=1)
+        for backend in ("cpu-baseline", "fpga-cycle"):
+            engine = LightRW(labeled_graph, backend=backend, hardware_scale=64)
+            observer = Observer()
+            with pytest.raises(ConfigError, match="restart"):
+                engine.run(RestartWalk(0.3), 5, starts=starts, observer=observer)
+            assert observer.spans.find("shard") == []

@@ -38,7 +38,7 @@ from repro.fpga.sim.fifo import FIFO
 from repro.fpga.sim.module import Module
 from repro.graph.io import load_csr_npz, save_csr_npz
 from repro.obs import append_jsonl, read_jsonl, use_observer
-from repro.runtime import InjectedFault, RunCheckpoint, SweepCheckpoint, resume_run
+from repro.runtime import InjectedFault, RunCheckpoint, SweepCheckpoint
 from repro.walks.uniform import UniformWalk
 from tests.helpers import assert_same_result
 
@@ -407,20 +407,6 @@ class TestRunCheckpointResume:
         )
         np.testing.assert_array_equal(resumed.paths, baseline.paths)
 
-    def test_resume_run_convenience(self, engine, starts, tmp_path):
-        baseline = engine.run(UniformWalk(), 5, starts=starts, shards=4)
-        directory = tmp_path / "ck"
-        self._interrupt(engine, starts, directory)
-        resumed = resume_run(
-            engine, UniformWalk(), 5, directory, starts=starts, shards=4,
-        )
-        np.testing.assert_array_equal(resumed.paths, baseline.paths)
-        with pytest.raises(ConfigError, match="cannot resume"):
-            resume_run(
-                engine, UniformWalk(), 5, tmp_path / "nowhere",
-                starts=starts, shards=4,
-            )
-
     def test_resume_without_checkpoint_dir_rejected(self, engine, starts):
         with pytest.raises(ConfigError, match="checkpoint_dir"):
             engine.run(UniformWalk(), 5, starts=starts, resume=True)
@@ -457,7 +443,7 @@ class TestRunCheckpointResume:
                 "fingerprint"
             ],
         )
-        assert checkpoint.completed_indices() == (0, 1)
+        assert sorted(checkpoint.load_completed()) == [0, 1]
 
     def test_shard_kind_binds_fingerprint(self, engine, starts, tmp_path):
         """A shard file from another run fails verification, never merges."""

@@ -231,7 +231,8 @@ class TestRetry:
         clean = engine.run(UniformWalk(), 6, starts=starts, shards=4)
         observer = Observer()
         retried = engine.run(
-            UniformWalk(), 6, starts=starts, shards=4, retries=1,
+            UniformWalk(), 6, starts=starts, shards=4,
+            retry=RetryPolicy(max_attempts=2),
             faults=[InjectedFault(shard=2, fail_attempts=1)],
             observer=observer,
         )
@@ -246,7 +247,8 @@ class TestRetry:
     def test_retry_budget_exhausted_becomes_failure(self, engine, starts):
         with pytest.raises(ShardExecutionError) as excinfo:
             engine.run(
-                UniformWalk(), 4, starts=starts, shards=4, retries=2,
+                UniformWalk(), 4, starts=starts, shards=4,
+                retry=RetryPolicy(max_attempts=3),
                 faults=[InjectedFault(shard=0, fail_attempts=-1)],
             )
         (failure,) = excinfo.value.failures
@@ -265,7 +267,7 @@ class TestTimeout:
     def test_slow_shard_times_out(self, engine, starts):
         result = engine.run(
             UniformWalk(), 4, starts=starts, shards=4, strict=False,
-            shard_timeout_s=0.05,
+            retry=RetryPolicy(shard_timeout_s=0.05),
             faults=[InjectedFault(shard=0, fail_attempts=0, delay_s=1.0)],
         )
         (failure,) = result.failures
@@ -276,7 +278,8 @@ class TestTimeout:
     def test_generous_timeout_is_harmless(self, engine, starts):
         clean = engine.run(UniformWalk(), 4, starts=starts, shards=2)
         timed = engine.run(
-            UniformWalk(), 4, starts=starts, shards=2, shard_timeout_s=60.0,
+            UniformWalk(), 4, starts=starts, shards=2,
+            retry=RetryPolicy(shard_timeout_s=60.0),
         )
         assert timed.ok
         np.testing.assert_array_equal(timed.paths, clean.paths)

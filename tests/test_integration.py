@@ -127,7 +127,7 @@ class TestGeneratedGraphPipeline:
                          cpu_spec=CPUSpec().scaled(32))
         result = engine.run(MetaPathWalk([0, 1, 2]), 5)
         assert result.total_steps > 0
-        breakdown = result.breakdown
+        breakdown = result.breakdown.detail
         # Dead-end MetaPath steps still perform the row_index lookup, so
         # accesses can exceed the completed-step count.
         assert breakdown.cache_accesses >= result.total_steps

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from repro.errors import ConfigError
 from repro.runtime import (
     EXECUTION_MODES,
     BatchScheduler,
+    FPGAModelBackend,
     InjectedFault,
     RetryPolicy,
+    plan_run,
 )
 from repro.walks.node2vec import Node2VecWalk
 from repro.walks.uniform import UniformWalk
@@ -25,6 +29,19 @@ def _snapshot(observer):
         for key, value in observer.metrics.snapshot().items()
         if "run.process_workers" not in key
     }
+
+
+class LockedBackend(FPGAModelBackend):
+    """Holds a live lock, so it cannot be pickled for a worker process."""
+
+    def __init__(self, context):
+        super().__init__(context)
+        self.lock = threading.Lock()
+        self.executed = []
+
+    def execute(self, plan, shard):
+        self.executed.append(shard.index)
+        return super().execute(plan, shard)
 
 
 @pytest.fixture
@@ -45,13 +62,14 @@ class TestModeSelection:
         assert BatchScheduler(mode="thread").mode == "thread"
         assert BatchScheduler(mode="process").mode == "process"
 
-    def test_process_requires_capability(self, labeled_graph, starts):
-        """fpga-cycle does not declare process_safe: fail fast, not midway."""
-        engine = LightRW(
-            labeled_graph, backend="fpga-cycle", hardware_scale=64, seed=6
-        )
-        with pytest.raises(ConfigError, match="process_safe"):
-            engine.run(UniformWalk(), 3, starts=starts, mode="process")
+    def test_process_rejects_unpicklable_backend(self, labeled_graph, starts):
+        """A backend that cannot reach a worker fails before any shard runs."""
+        engine = LightRW(labeled_graph, hardware_scale=64, seed=6)
+        backend = LockedBackend(engine.runtime_context())
+        plan = plan_run("fpga-model", UniformWalk(), 3, starts, shards=4)
+        with pytest.raises(ConfigError, match="worker processes"):
+            BatchScheduler(mode="process").execute(backend, plan)
+        assert backend.executed == []
 
 
 class TestProcessParity:

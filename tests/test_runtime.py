@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.api import BACKENDS, LightRW
+from repro.core.api import LightRW
 from repro.core.queries import make_queries
 from repro.errors import ConfigError
 from repro.runtime import (
@@ -25,6 +25,7 @@ from repro.runtime import (
 )
 from repro.runtime.timing import FPGAModelBreakdown, TimingBreakdown
 from repro.walks.node2vec import Node2VecWalk
+from repro.walks.ppr import RestartWalk
 from repro.walks.uniform import UniformWalk
 
 
@@ -32,7 +33,6 @@ class TestRegistry:
     def test_builtins_registered(self):
         names = backend_names()
         assert ("fpga-model", "fpga-cycle", "cpu-baseline") == names
-        assert BACKENDS == names
 
     def test_resolve_unknown_is_actionable(self):
         with pytest.raises(ConfigError, match="fpga-model"):
@@ -131,7 +131,7 @@ class TestPlanner:
     def test_restart_requires_capability(self, tiny_graph):
         starts = make_queries(tiny_graph, shuffle=False)
         with pytest.raises(ConfigError, match="restart"):
-            plan_run("cpu-baseline", UniformWalk(), 3, starts, restart_alpha=0.2)
+            plan_run("cpu-baseline", RestartWalk(0.2), 3, starts)
 
 
 class TestShardParity:
@@ -179,8 +179,8 @@ class TestShardParity:
     def test_restart_shard_parity(self, labeled_graph):
         engine = LightRW(labeled_graph, hardware_scale=64, seed=4)
         starts = make_queries(labeled_graph, n_queries=16, seed=4)
-        one = engine.run_restart(n_steps=10, alpha=0.3, starts=starts, shards=1)
-        four = engine.run_restart(n_steps=10, alpha=0.3, starts=starts, shards=4)
+        one = engine.run(RestartWalk(0.3), 10, starts=starts, shards=1)
+        four = engine.run(RestartWalk(0.3), 10, starts=starts, shards=4)
         np.testing.assert_array_equal(one.paths, four.paths)
         np.testing.assert_array_equal(one.lengths, four.lengths)
 
@@ -195,9 +195,8 @@ class TestMergedReports:
         assert merged.breakdown.total_steps == merged.total_steps
         assert merged.breakdown.num_queries == 20
         assert merged.query_latency_s.shape == (20,)
-        # Legacy attribute access falls through to the native breakdown.
-        assert merged.breakdown.cache_accesses > 0
-        assert 0 < merged.breakdown.valid_ratio <= 1
+        assert merged.breakdown.detail.cache_accesses > 0
+        assert 0 < merged.breakdown.detail.valid_ratio <= 1
         components = merged.breakdown.components()
         assert components["kernel"] > 0
         assert "sampler" in components
@@ -243,5 +242,5 @@ class TestMergedReports:
         merged = engine.run(UniformWalk(), 4, starts=starts)
         native = merged.breakdown.detail
         assert len(native.instances) == engine.config.n_instances
-        assert merged.breakdown.utilization_report()
+        assert native.utilization_report()
         assert set(native.paths) == set(range(16))

@@ -16,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import LightRW, Observer
-from repro.core.queries import make_queries
+from repro.core.queries import make_queries, sample_queries
+from repro.fpga.perfmodel import FPGAPerfModel
 from repro.graph.generators import chung_lu_graph
 from repro.graph.labels import assign_random_weights
 from repro.runtime import EXECUTION_MODES
 from repro.walks.node2vec import Node2VecWalk
+from repro.walks.ppr import RestartWalk, run_restart_walks
 from tests.helpers import assert_same, assert_same_result, modeled_metrics
 
 SHARDS = st.sampled_from([1, 2, 4, 16])
@@ -75,8 +77,8 @@ def test_restart_runs_match_one_sequential_shard(mode, shards, seed, alpha):
     starts = make_queries(engine.graph, n_queries=48, seed=seed)
 
     def run(observer, **kwargs):
-        return engine.run_restart(
-            8, alpha=alpha, starts=starts, observer=observer, **kwargs
+        return engine.run(
+            RestartWalk(alpha), 8, starts=starts, observer=observer, **kwargs
         )
 
     want, want_obs = _observed(run)
@@ -84,3 +86,29 @@ def test_restart_runs_match_one_sequential_shard(mode, shards, seed, alpha):
         lambda obs: run(obs, shards=shards, mode=mode, workers=2)
     )
     _assert_invariant(got, got_obs, want, want_obs)
+
+
+@pytest.mark.parametrize("mode", EXECUTION_MODES)
+@pytest.mark.parametrize("shards", [1, 4])
+def test_restart_run_matches_direct_reference(mode, shards):
+    """``run(RestartWalk(a))`` is the restart stepper plus one cost model."""
+    alpha, n_steps, seed = 0.4, 8, 5
+    engine = LightRW(_graph(), hardware_scale=64, seed=seed)
+    starts = make_queries(engine.graph, n_queries=120, seed=seed)
+    got = engine.run(
+        RestartWalk(alpha), n_steps, starts=starts, max_sampled_queries=40,
+        shards=shards, mode=mode, workers=2,
+    )
+
+    sampled, total = sample_queries(starts, 40, seed=seed)
+    session = run_restart_walks(
+        engine.graph, sampled, n_steps, alpha=alpha, k=engine.config.k, seed=seed
+    )
+    native = FPGAPerfModel(engine.config, RestartWalk(alpha)).evaluate(
+        session, total_queries=total, record_latency=True
+    )
+    assert_same(got.paths, session.paths, "paths")
+    assert_same(got.lengths, session.lengths, "lengths")
+    assert got.total_steps == native.total_steps
+    assert got.kernel_s == native.kernel_s
+    assert_same(got.query_latency_s, native.query_latency_seconds(), "latency")

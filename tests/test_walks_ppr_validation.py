@@ -16,6 +16,7 @@ from repro.walks.ppr import (
     visit_frequencies,
 )
 from repro.walks.static import StaticWalk
+from repro.walks.stepper import PWRSSampler, run_walks
 from repro.walks.uniform import UniformWalk
 from repro.walks.validation import (
     chi_square_step_test,
@@ -31,6 +32,13 @@ class TestRestartWalk:
             RestartWalk(alpha=1.0)
         with pytest.raises(QueryError):
             RestartWalk(alpha=-0.1)
+
+    def test_generic_stepper_refuses_restart_walk(self):
+        """Only run_restart_walks applies the restart; nothing walks it without."""
+        graph = cycle_graph(8)
+        starts = np.zeros(4, dtype=np.int64)
+        with pytest.raises(QueryError, match="run_restart_walks"):
+            run_walks(graph, starts, 3, RestartWalk(0.5), PWRSSampler(seed=1))
 
     def test_alpha_zero_never_teleports(self):
         graph = cycle_graph(8)
