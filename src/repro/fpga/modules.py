@@ -32,7 +32,7 @@ from repro.fpga.sim.module import Module
 from repro.graph.csr import CSRGraph, EDGE_RECORD_BYTES
 from repro.sampling.parallel_wrs import ParallelWRS
 from repro.sampling.rng import ThundeRingRNG, derive_seed
-from repro.walks.base import StepContext, WalkAlgorithm, quantize_weights
+from repro.walks.base import WalkAlgorithm, gather_step, quantize_weights
 
 #: Edges delivered per cycle by the 512-bit bus.
 BUS_EDGES_PER_CYCLE = 16
@@ -488,28 +488,16 @@ class WeightUpdater(Module):
         self._stream_complete = False
 
     def _compute_weights(self, task: StepTask) -> None:
-        begin, end = self.graph.neighbor_slice(task.vertex)
-        degree = end - begin
-        dst = self.graph.col_index[begin:end].astype(np.int64)
-        static_w = (
-            self.graph.edge_weights[begin:end].astype(np.float64)
-            if self.graph.edge_weights is not None
-            else np.ones(degree, dtype=np.float64)
+        ctx = gather_step(
+            self.graph,
+            task.step,
+            np.array([task.vertex]),
+            np.array([task.prev]),
+            self.graph.col_index,
+            self.graph.edge_weights,
+            self._edge_keys,
         )
-        ctx = StepContext(
-            graph=self.graph,
-            step=task.step,
-            curr=np.array([task.vertex]),
-            prev=np.array([task.prev]),
-            degrees=np.array([degree]),
-            seg_starts=np.array([0]),
-            edge_query=np.zeros(degree, dtype=np.int64),
-            dst=dst,
-            static_weights=static_w,
-            edge_positions=np.arange(begin, end, dtype=np.int64),
-            edge_keys_sorted=self._edge_keys,
-        )
-        self._items = dst
+        self._items = ctx.dst
         self._weights = quantize_weights(self.algorithm.dynamic_weights(ctx))
 
     def tick(self, cycle: int) -> None:

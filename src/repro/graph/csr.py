@@ -163,6 +163,8 @@ class CSRGraph:
                 f"for {n} vertices"
             )
         if self.edge_weights is not None and self.edge_weights.size:
+            if not np.all(np.isfinite(self.edge_weights)):
+                raise GraphFormatError("edge weights must be finite (no NaN or inf)")
             if float(self.edge_weights.min()) < 0:
                 raise GraphFormatError("edge weights must be non-negative")
 

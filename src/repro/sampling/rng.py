@@ -44,19 +44,32 @@ def splitmix64(value: int | np.ndarray) -> int | np.ndarray:
     (returned as ndarray).  This is the per-lane decorrelator as well as the
     seed-expansion function used everywhere a sub-seed is derived.
     """
-    scalar = not isinstance(value, np.ndarray)
-    if scalar:
-        z = np.uint64(value & 0xFFFFFFFFFFFFFFFF)
-    elif value.dtype == np.uint64:
-        z = value
-    else:
-        z = value.astype(np.uint64)
+    if isinstance(value, np.ndarray):
+        return splitmix64_inplace(value.astype(np.uint64))
+    z = np.uint64(value & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
         z = (z + _GOLDEN) & _MASK64
         z = ((z ^ (z >> np.uint64(30))) * _MIX1) & _MASK64
         z = ((z ^ (z >> np.uint64(27))) * _MIX2) & _MASK64
         z = z ^ (z >> np.uint64(31))
-    return int(z) if scalar else z
+    return int(z)
+
+
+def splitmix64_inplace(z: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` of a ``uint64`` array, overwriting and returning it.
+
+    Uses one scratch buffer instead of a temporary per operation; uint64
+    arithmetic wraps modulo 2**64, as the finalizer requires.
+    """
+    scratch = np.empty_like(z)
+    z += _GOLDEN
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= mix
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+    return z
 
 
 def derive_seed(seed: int, *salts: int) -> int:

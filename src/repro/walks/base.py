@@ -5,8 +5,8 @@ The central object is :class:`WalkAlgorithm`, whose
 weight update function ``F`` — it maps every candidate edge of the current
 step to its *sampling weight* ``w^t`` (the unnormalized transition
 probability).  Implementations receive a :class:`StepContext` holding the
-flattened candidate-edge arrays for every active query at once, so a single
-vectorized call covers the whole batch.
+flattened candidate-edge arrays of a block of active queries at once, so a
+single vectorized call covers every query of the block.
 
 Fixed-point weights
 -------------------
@@ -41,8 +41,9 @@ def quantize_weights(weights: np.ndarray) -> np.ndarray:
     weight becomes at least one (an allowed edge must stay allowed).
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.size and weights.min() < 0:
-        raise ValueError("sampling weights must be non-negative")
+    # Written so that NaN fails it too: NaN < 0 is false.
+    if weights.size and not (weights.min() >= 0):
+        raise ValueError("sampling weights must be non-negative and not NaN")
     quantized = np.rint(weights * WEIGHT_SCALE).astype(np.uint64)
     positive = weights > 0
     quantized[positive & (quantized == 0)] = 1
@@ -51,11 +52,12 @@ def quantize_weights(weights: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StepContext:
-    """Flattened candidate-edge view of one step across all active queries.
+    """Flattened candidate-edge view of one step across a block of queries.
 
     All per-edge arrays share one flat index space: query ``j`` (a position
-    within this step's active set, not a global query id) owns the slice
-    ``[seg_starts[j], seg_starts[j] + degrees[j])``.
+    within this block, not a global query id) owns the slice
+    ``[seg_starts[j], seg_starts[j] + degrees[j])``.  Built by
+    :func:`gather_step`.
     """
 
     graph: "CSRGraph"
@@ -66,7 +68,8 @@ class StepContext:
     degrees: np.ndarray
     seg_starts: np.ndarray
     #: per-edge arrays (length = degrees.sum())
-    edge_query: np.ndarray  # active-set position owning each edge
+    edge_query: np.ndarray  # block position owning each edge
+    within: np.ndarray  # index of each edge within its query's segment
     dst: np.ndarray
     static_weights: np.ndarray
     edge_positions: np.ndarray  # index into graph.col_index for each edge
@@ -85,22 +88,48 @@ class StepContext:
         """Previous vertex of the owning query, broadcast per edge."""
         return self.prev[self.edge_query]
 
-    def edges_exist(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Vectorized ``(u, v) in E`` over aligned source/target arrays.
 
-        Exploits the global sortedness of the CSR edge keys (col_index is
-        sorted within rows laid out in row order), giving one
-        ``searchsorted`` for the entire batch.
-        """
-        if self.edge_keys_sorted is None:
-            raise ValueError("StepContext was built without edge keys")
-        n = np.int64(self.graph.num_vertices)
-        keys = np.asarray(sources, dtype=np.int64) * n + np.asarray(targets, dtype=np.int64)
-        pos = np.searchsorted(self.edge_keys_sorted, keys)
-        pos_clipped = np.minimum(pos, self.edge_keys_sorted.size - 1)
-        found = self.edge_keys_sorted[pos_clipped] == keys
-        found &= pos < self.edge_keys_sorted.size
-        return found
+def gather_step(
+    graph: "CSRGraph",
+    step: int,
+    curr: np.ndarray,
+    prev: np.ndarray,
+    col_index: np.ndarray,
+    edge_weights: np.ndarray | None,
+    edge_keys: np.ndarray | None = None,
+) -> StepContext:
+    """The :class:`StepContext` over every out-edge of each query's vertex.
+
+    ``col_index`` and ``edge_weights`` are the graph's arrays, or copies
+    staged once per run as int64 / float64 so that the per-step gather
+    converts nothing; ``edge_weights=None`` means unit weights.
+    """
+    curr = np.asarray(curr, dtype=np.int64)
+    degrees = graph.degrees[curr]
+    seg_starts = np.zeros(curr.size, dtype=np.int64)
+    np.cumsum(degrees[:-1], out=seg_starts[1:])
+    n_edges = int(seg_starts[-1] + degrees[-1]) if curr.size else 0
+    edge_query = np.repeat(np.arange(curr.size, dtype=np.int64), degrees)
+    within = np.arange(n_edges, dtype=np.int64) - np.repeat(seg_starts, degrees)
+    edge_positions = np.repeat(graph.row_index[curr], degrees) + within
+    return StepContext(
+        graph=graph,
+        step=step,
+        curr=curr,
+        prev=np.asarray(prev, dtype=np.int64),
+        degrees=degrees,
+        seg_starts=seg_starts,
+        edge_query=edge_query,
+        within=within,
+        dst=col_index[edge_positions].astype(np.int64, copy=False),
+        static_weights=(
+            edge_weights[edge_positions].astype(np.float64, copy=False)
+            if edge_weights is not None
+            else np.ones(n_edges, dtype=np.float64)
+        ),
+        edge_positions=edge_positions,
+        edge_keys_sorted=edge_keys,
+    )
 
 
 class WalkAlgorithm:

@@ -49,18 +49,67 @@ class Node2VecWalk(WalkAlgorithm):
         has_prev = prev >= 0
         if not np.any(has_prev):
             return weights
-        is_return = (np.asarray(ctx.dst, dtype=np.int64) == prev) & has_prev
-        connected = np.zeros(ctx.n_edges, dtype=bool)
-        candidates = has_prev & ~is_return
-        if np.any(candidates):
-            connected[candidates] = ctx.edges_exist(
-                prev[candidates], ctx.dst[candidates]
-            )
+        is_return = (ctx.dst == prev) & has_prev
+        explore = has_prev & ~is_return & ~connected_to_previous(ctx)
         scale = np.ones(ctx.n_edges, dtype=np.float64)
         scale[is_return] = 1.0 / self.p
-        explore = has_prev & ~is_return & ~connected
         scale[explore] = 1.0 / self.q
         return weights * scale
 
     def __repr__(self) -> str:
         return f"Node2VecWalk(p={self.p}, q={self.q})"
+
+
+def connected_to_previous(ctx: StepContext) -> np.ndarray:
+    """``(prev, dst) in E`` for every candidate edge of the step.
+
+    Edges of a query without a previous vertex are ``False``.  Each query
+    is tested from its smaller side, in the sorted global edge keys of
+    ``ctx.edge_keys_sorted``:
+
+    * ``deg(prev) >= deg(curr)``: one search per candidate edge, for the
+      key ``prev * |V| + dst``;
+    * ``deg(prev) < deg(curr)``: one search per ``y`` in ``N(prev)`` — the
+      adjacency the accelerator buffers on chip — for the key
+      ``curr * |V| + y``.  A hit is the run of curr's edges to ``y``
+      (``[left, right)`` of the search; multigraphs repeat edges), and
+      those candidates are marked connected.
+    """
+    keys = ctx.edge_keys_sorted
+    if keys is None:
+        raise ValueError("StepContext was built without edge keys")
+    graph = ctx.graph
+    n = np.int64(graph.num_vertices)
+    prev = ctx.prev
+    has_prev = prev >= 0
+    prev_degrees = np.where(has_prev, graph.degrees[np.maximum(prev, 0)], 0)
+    from_prev = has_prev & (prev_degrees < ctx.degrees)
+    connected = np.zeros(ctx.n_edges, dtype=bool)
+
+    per_candidate = (has_prev & ~from_prev)[ctx.edge_query]
+    if np.any(per_candidate):
+        needles = prev[ctx.edge_query[per_candidate]] * n + ctx.dst[per_candidate]
+        found = np.searchsorted(keys, needles)
+        connected[per_candidate] = keys[np.minimum(found, keys.size - 1)] == needles
+
+    queries = np.flatnonzero(from_prev)
+    if queries.size:
+        q_prev = prev[queries]
+        q_curr = ctx.curr[queries]
+        q_degrees = prev_degrees[queries]
+        # Gather N(prev) of every such query as one flat stream.
+        offsets = np.zeros(queries.size, dtype=np.int64)
+        np.cumsum(q_degrees[:-1], out=offsets[1:])
+        positions = np.repeat(graph.row_index[q_prev] - offsets, q_degrees)
+        positions += np.arange(positions.size, dtype=np.int64)
+        needles = np.repeat(q_curr * n, q_degrees) + graph.col_index[positions]
+        left = np.searchsorted(keys, needles, side="left")
+        right = np.searchsorted(keys, needles, side="right")
+        hit = right > left
+        # Global edge position -> this step's flat candidate index.
+        shift = np.repeat(ctx.seg_starts[queries] - graph.row_index[q_curr], q_degrees)[hit]
+        marks = np.bincount(left[hit] + shift, minlength=ctx.n_edges + 1)
+        marks -= np.bincount(right[hit] + shift, minlength=ctx.n_edges + 1)
+        connected |= np.cumsum(marks[:-1]) > 0
+    return connected
+

@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import QueryError
 from repro.graph.csr import CSRGraph
 from repro.sampling.rng import derive_seed
-from repro.walks.base import StepContext, WalkAlgorithm
+from repro.walks.base import StepContext, WalkAlgorithm, gather_step
 from repro.walks.stepper import (
     PWRSSampler,
     StepRecord,
@@ -90,7 +90,6 @@ def run_restart_walks(
     coin_keys = _query_lane_keys(derive_seed(seed, 0x9E57A97), query_ids, 1)[:, 0]
     coin_counters = np.zeros(n_queries, dtype=np.uint64)
 
-    row_index = graph.row_index
     degrees = graph.degrees
     col64 = graph.col_index.astype(np.int64)
     weights64 = (
@@ -122,38 +121,17 @@ def run_restart_walks(
 
         walkers = active[~restart]
         if walkers.size:
-            a_curr = curr[walkers]
-            a_deg = degrees[a_curr]
-            seg_starts = np.zeros(walkers.size, dtype=np.int64)
-            np.cumsum(a_deg[:-1], out=seg_starts[1:])
-            within = np.arange(int(a_deg.sum()), dtype=np.int64) - np.repeat(
-                seg_starts, a_deg
+            ctx = gather_step(
+                graph,
+                step,
+                curr[walkers],
+                np.full(walkers.size, -1, dtype=np.int64),
+                col64,
+                weights64,
             )
-            positions = np.repeat(row_index[a_curr], a_deg) + within
-            dst = col64[positions]
-            flat_weights = (
-                weights64[positions]
-                if weights64 is not None
-                else np.ones(dst.size, dtype=np.float64)
-            )
-            ctx = StepContext(
-                graph=graph,
-                step=step,
-                curr=a_curr,
-                prev=np.full(walkers.size, -1, dtype=np.int64),
-                degrees=a_deg,
-                seg_starts=seg_starts,
-                edge_query=np.repeat(np.arange(walkers.size, dtype=np.int64), a_deg),
-                dst=dst,
-                static_weights=flat_weights,
-                edge_positions=positions,
-            )
-            chosen = sampler.select(ctx, flat_weights, walkers)
-            sampled = chosen >= 0
-            picks = np.full(walkers.size, -1, dtype=np.int64)
-            if np.any(sampled):
-                picks[sampled] = dst[seg_starts[sampled] + chosen[sampled]]
-            next_vertices[~restart] = picks
+            chosen = sampler.select(ctx, ctx.static_weights, walkers)
+            picked = ctx.dst[ctx.seg_starts + np.maximum(chosen, 0)]
+            next_vertices[~restart] = np.where(chosen >= 0, picked, np.int64(-1))
 
         # Trace: restart steps cost no memory traffic (degree recorded 0).
         step_degrees = np.where(restart, 0, degrees[curr[active]])

@@ -15,6 +15,22 @@ Sampler strategies
 * :class:`InverseTransformSampler` — ThunderRW's configured method: one
   uniform per step, binary search in the per-step CDF table.
 
+Step blocks
+-----------
+Each step splits its active queries into contiguous blocks of about
+:data:`STEP_BLOCK_EDGES` candidate edges (cut with ``searchsorted`` on the
+cumulative degree; a block holds at least one query, so a hub larger than
+the budget is a block of its own).  Per block the stepper gathers the
+candidate edges (:func:`~repro.walks.base.gather_step`), computes the
+dynamic weights and samples, then writes the block's next vertices into
+the step's arrays; the step still yields one :class:`StepRecord`.  The
+block's per-edge arrays stay in cache instead of streaming a whole step's
+worth of temporaries through memory.  Blocking never changes a walk: each
+query's weights, lane draws and counters depend only on that query, and
+PWRS prefix sums are exact integers.  (The inverse-transform CDF is a
+float prefix sum, so its draws are layout-independent to the extent that
+sum is exact, as across shard layouts.)
+
 Per-query randomness
 --------------------
 Each query ``q`` draws from its own lane family, keyed by
@@ -34,10 +50,13 @@ import numpy as np
 from repro.errors import ConfigError, QueryError
 from repro.graph.csr import CSRGraph
 from repro.sampling.parallel_wrs import ParallelWRS, integer_accept
-from repro.sampling.rng import ThundeRingRNG, derive_seed, splitmix64
-from repro.walks.base import StepContext, WalkAlgorithm, quantize_weights
+from repro.sampling.rng import ThundeRingRNG, derive_seed, splitmix64, splitmix64_inplace
+from repro.walks.base import StepContext, WalkAlgorithm, gather_step, quantize_weights
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+#: Edge budget of one step block (see "Step blocks" above).
+STEP_BLOCK_EDGES = 1 << 16
 
 
 def _query_lane_keys(seed: int, query_ids: np.ndarray, k: int) -> np.ndarray:
@@ -57,9 +76,11 @@ def _query_lane_keys(seed: int, query_ids: np.ndarray, k: int) -> np.ndarray:
 
 def _lane_uint32(counters: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """One 32-bit draw per (counter, key) pair — matches ``ThundeRingRNG``."""
-    with np.errstate(over="ignore"):
-        raw = splitmix64((counters.astype(np.uint64) * _GOLDEN) ^ keys)
-    return (raw >> np.uint64(32)).astype(np.uint64)
+    raw = np.multiply(counters, _GOLDEN, dtype=np.uint64)
+    raw ^= keys
+    splitmix64_inplace(raw)
+    raw >>= np.uint64(32)
+    return raw
 
 
 class PWRSSampler:
@@ -103,28 +124,24 @@ class PWRSSampler:
         if self._lane_keys is None or self._counters is None:
             raise ConfigError("sampler not attached; call attach() first")
         w_int = quantize_weights(weights)
-        degrees = ctx.degrees.astype(np.int64)
         seg_starts = ctx.seg_starts
+        incl_prefix = np.cumsum(w_int, dtype=np.uint64)
+        seg_base = incl_prefix[seg_starts] - w_int[seg_starts]
+        incl_prefix -= np.repeat(seg_base, ctx.degrees)
 
-        global_cumsum = np.cumsum(w_int, dtype=np.uint64)
-        seg_base = global_cumsum[seg_starts] - w_int[seg_starts]
-        incl_prefix = global_cumsum - np.repeat(seg_base, degrees)
-
-        pos = np.arange(w_int.size, dtype=np.int64) - np.repeat(seg_starts, degrees)
-        lanes = pos % self.k
-        cycles_within = pos // self.k
-        counters = self._counters[active_index][ctx.edge_query] + cycles_within.astype(
-            np.uint64
-        )
-        keys = self._lane_keys[active_index[ctx.edge_query], lanes]
+        cycles_within, lanes = np.divmod(ctx.within, self.k)
+        rows = active_index[ctx.edge_query]
+        counters = self._counters[rows]
+        counters += cycles_within.astype(np.uint64)
+        keys = self._lane_keys.ravel()[rows * self.k + lanes]
         r_star = _lane_uint32(counters, keys)
 
         accept = integer_accept(w_int, incl_prefix, r_star)
-        marked = np.where(accept, pos, np.int64(-1))
+        marked = np.where(accept, ctx.within, np.int64(-1))
         chosen = np.maximum.reduceat(marked, seg_starts)
 
-        cycles_per_query = -(-degrees // self.k)
-        np.add.at(self._counters, active_index, cycles_per_query.astype(np.uint64))
+        # Active queries are distinct, so plain fancy-index += is exact.
+        self._counters[active_index] += (-(-ctx.degrees // self.k)).astype(np.uint64)
         return chosen
 
     def fork_single(self, query_id: int) -> ThundeRingRNG:
@@ -276,7 +293,6 @@ def run_walks(
     records: list[StepRecord] = []
 
     edge_keys = graph.edge_keys() if algorithm.needs_edge_keys() else None
-    row_index = graph.row_index
     all_degrees = graph.degrees
     # Hot-path dtype staging: one conversion per run instead of one per step.
     col_index64 = graph.col_index.astype(np.int64)
@@ -299,41 +315,29 @@ def run_walks(
                 break
             a_curr = curr[active]
             a_deg = all_degrees[a_curr]
+        a_prev = prev[active]
 
-        seg_starts = np.zeros(active.size, dtype=np.int64)
-        np.cumsum(a_deg[:-1], out=seg_starts[1:])
-        n_edges = int(a_deg.sum())
-        edge_query = np.repeat(np.arange(active.size, dtype=np.int64), a_deg)
-        within = np.arange(n_edges, dtype=np.int64) - np.repeat(seg_starts, a_deg)
-        edge_positions = np.repeat(row_index[a_curr], a_deg) + within
-        dst = col_index64[edge_positions]
-        static_w = (
-            edge_weights64[edge_positions]
-            if edge_weights64 is not None
-            else np.ones(n_edges, dtype=np.float64)
-        )
-
-        ctx = StepContext(
-            graph=graph,
-            step=step,
-            curr=a_curr,
-            prev=prev[active],
-            degrees=a_deg,
-            seg_starts=seg_starts,
-            edge_query=edge_query,
-            dst=dst,
-            static_weights=static_w,
-            edge_positions=edge_positions,
-            edge_keys_sorted=edge_keys,
-        )
-        weights = algorithm.dynamic_weights(ctx)
-        chosen = sampler.select(ctx, weights, active)
-
-        sampled = chosen >= 0
-        next_vertices = np.full(active.size, -1, dtype=np.int64)
-        if np.any(sampled):
-            flat = seg_starts[sampled] + chosen[sampled]
-            next_vertices[sampled] = dst[flat]
+        next_vertices = np.empty(active.size, dtype=np.int64)
+        edge_ends = np.cumsum(a_deg)
+        lo = 0
+        while lo < active.size:
+            budget_end = (edge_ends[lo - 1] if lo else 0) + STEP_BLOCK_EDGES
+            hi = max(int(np.searchsorted(edge_ends, budget_end, side="right")), lo + 1)
+            block = slice(lo, hi)
+            ctx = gather_step(
+                graph,
+                step,
+                a_curr[block],
+                a_prev[block],
+                col_index64,
+                edge_weights64,
+                edge_keys,
+            )
+            chosen = sampler.select(ctx, algorithm.dynamic_weights(ctx), active[block])
+            picked = ctx.dst[ctx.seg_starts + np.maximum(chosen, 0)]
+            next_vertices[block] = np.where(chosen >= 0, picked, np.int64(-1))
+            lo = hi
+        sampled = next_vertices >= 0
 
         if record_trace:
             records.append(
@@ -341,12 +345,10 @@ def run_walks(
                     step=step,
                     query_ids=active.copy(),
                     curr=a_curr.copy(),
-                    degrees=a_deg.astype(np.int64),
-                    prev=prev[active].copy(),
-                    prev_degrees=np.where(
-                        prev[active] >= 0, all_degrees[np.maximum(prev[active], 0)], 0
-                    ).astype(np.int64),
-                    next_vertex=next_vertices.copy(),
+                    degrees=a_deg,
+                    prev=a_prev,
+                    prev_degrees=np.where(a_prev >= 0, all_degrees[np.maximum(a_prev, 0)], 0),
+                    next_vertex=next_vertices,
                 )
             )
 
@@ -393,29 +395,19 @@ def walk_single_query(
     curr = int(start)
     prev = -1
     for step in range(n_steps):
-        begin, end = graph.neighbor_slice(curr)
-        degree = end - begin
+        degree = graph.degree(curr)
         if degree == 0:
             break
-        dst = graph.col_index[begin:end].astype(np.int64)
-        static_w = (
-            graph.edge_weights[begin:end].astype(np.float64)
-            if graph.edge_weights is not None
-            else np.ones(degree, dtype=np.float64)
+        ctx = gather_step(
+            graph,
+            step,
+            np.array([curr]),
+            np.array([prev]),
+            graph.col_index,
+            graph.edge_weights,
+            edge_keys,
         )
-        ctx = StepContext(
-            graph=graph,
-            step=step,
-            curr=np.array([curr]),
-            prev=np.array([prev]),
-            degrees=np.array([degree]),
-            seg_starts=np.array([0]),
-            edge_query=np.zeros(degree, dtype=np.int64),
-            dst=dst,
-            static_weights=static_w,
-            edge_positions=np.arange(begin, end, dtype=np.int64),
-            edge_keys_sorted=edge_keys,
-        )
+        dst = ctx.dst
         weights = quantize_weights(algorithm.dynamic_weights(ctx))
         sampler.reset()
         for chunk_start in range(0, degree, k):

@@ -19,7 +19,7 @@ from scipy import stats
 
 from repro.errors import QueryError
 from repro.graph.csr import CSRGraph
-from repro.walks.base import StepContext, WalkAlgorithm
+from repro.walks.base import WalkAlgorithm, gather_step
 
 
 def exact_step_distribution(
@@ -37,27 +37,17 @@ def exact_step_distribution(
     """
     if not 0 <= vertex < graph.num_vertices:
         raise QueryError(f"vertex {vertex} out of range")
-    begin, end = graph.neighbor_slice(vertex)
-    degree = end - begin
     out = np.zeros(graph.num_vertices, dtype=np.float64)
-    if degree == 0:
+    if graph.degree(vertex) == 0:
         return out
-    ctx = StepContext(
-        graph=graph,
-        step=step,
-        curr=np.array([vertex]),
-        prev=np.array([prev]),
-        degrees=np.array([degree]),
-        seg_starts=np.array([0]),
-        edge_query=np.zeros(degree, dtype=np.int64),
-        dst=graph.col_index[begin:end].astype(np.int64),
-        static_weights=(
-            graph.edge_weights[begin:end].astype(np.float64)
-            if graph.edge_weights is not None
-            else np.ones(degree, dtype=np.float64)
-        ),
-        edge_positions=np.arange(begin, end, dtype=np.int64),
-        edge_keys_sorted=graph.edge_keys() if algorithm.needs_edge_keys() else None,
+    ctx = gather_step(
+        graph,
+        step,
+        np.array([vertex]),
+        np.array([prev]),
+        graph.col_index,
+        graph.edge_weights,
+        graph.edge_keys() if algorithm.needs_edge_keys() else None,
     )
     weights = algorithm.dynamic_weights(ctx)
     total = weights.sum()

@@ -125,6 +125,15 @@ class TestValidation:
                 edge_weights=np.array([-1.0]),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(GraphFormatError, match="finite"):
+            CSRGraph(
+                row_index=np.array([0, 2]),
+                col_index=np.array([0, 0]),
+                edge_weights=np.array([1.0, bad]),
+            )
+
     def test_empty_graph_is_valid(self):
         graph = CSRGraph(row_index=np.array([0]), col_index=np.array([], dtype=np.uint32))
         assert graph.num_vertices == 0

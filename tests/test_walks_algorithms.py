@@ -8,33 +8,23 @@ import pytest
 from repro.errors import QueryError
 from repro.graph.builders import from_edge_list
 from repro.graph.labels import assign_edge_labels
-from repro.walks.base import StepContext, WEIGHT_SCALE, quantize_weights
+from repro.walks.base import WEIGHT_SCALE, gather_step, quantize_weights
 from repro.walks.metapath import MetaPathWalk
-from repro.walks.node2vec import Node2VecWalk
+from repro.walks.node2vec import Node2VecWalk, connected_to_previous
 from repro.walks.static import StaticWalk
 from repro.walks.uniform import UniformWalk
 
 
 def _context_for(graph, vertex, prev=-1, step=0):
     """Single-query StepContext over all of ``vertex``'s out-edges."""
-    begin, end = graph.neighbor_slice(vertex)
-    degree = end - begin
-    return StepContext(
-        graph=graph,
-        step=step,
-        curr=np.array([vertex]),
-        prev=np.array([prev]),
-        degrees=np.array([degree]),
-        seg_starts=np.array([0]),
-        edge_query=np.zeros(degree, dtype=np.int64),
-        dst=graph.col_index[begin:end].astype(np.int64),
-        static_weights=(
-            graph.edge_weights[begin:end].astype(np.float64)
-            if graph.edge_weights is not None
-            else np.ones(degree)
-        ),
-        edge_positions=np.arange(begin, end, dtype=np.int64),
-        edge_keys_sorted=graph.edge_keys(),
+    return gather_step(
+        graph,
+        step,
+        np.array([vertex]),
+        np.array([prev]),
+        graph.col_index,
+        graph.edge_weights,
+        graph.edge_keys(),
     )
 
 
@@ -54,6 +44,11 @@ class TestQuantize:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             quantize_weights(np.array([-0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nan_and_negative_infinity_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            quantize_weights(np.array([1.0, bad]))
 
 
 class TestUniformAndStatic:
@@ -157,16 +152,26 @@ class TestNode2Vec:
 
 class TestEdgesExist:
     def test_vectorized_membership(self, tiny_graph):
-        ctx = _context_for(tiny_graph, 0)
-        sources = np.array([0, 0, 1, 3, 2, 4])
-        targets = np.array([1, 0, 2, 2, 0, 1])
-        expected = np.array(
-            [tiny_graph.has_edge(u, v) for u, v in zip(sources, targets)]
+        # deg(prev) < deg(curr) searches N(prev); otherwise each candidate.
+        curr = np.array([0, 0, 3, 2, 0, 3, 1])
+        prev = np.array([3, 1, 0, 1, -1, 4, 2])
+        ctx = gather_step(
+            tiny_graph,
+            1,
+            curr,
+            prev,
+            tiny_graph.col_index,
+            tiny_graph.edge_weights,
+            tiny_graph.edge_keys(),
         )
-        np.testing.assert_array_equal(ctx.edges_exist(sources, targets), expected)
+        owners = prev[ctx.edge_query]
+        expected = np.array(
+            [u >= 0 and tiny_graph.has_edge(u, v) for u, v in zip(owners, ctx.dst)]
+        )
+        np.testing.assert_array_equal(connected_to_previous(ctx), expected)
 
     def test_requires_edge_keys(self, tiny_graph):
-        ctx = _context_for(tiny_graph, 0)
+        ctx = _context_for(tiny_graph, 0, prev=3)
         ctx.edge_keys_sorted = None
         with pytest.raises(ValueError, match="edge keys"):
-            ctx.edges_exist(np.array([0]), np.array([1]))
+            connected_to_previous(ctx)
