@@ -9,7 +9,8 @@ The layout mirrors what LightRW keeps in FPGA DRAM (Section 3.3):
 * ``col_index`` — uint32 array of destination vertices, sorted within each
   row (the paper sorts adjacent edges by destination; sortedness is what
   makes Node2Vec's ``(a_{t-1}, b) in E`` test a binary search).
-* ``edge_weights`` — float32 static weights ``w*`` (all ones when absent).
+* ``edge_weights`` — float32 static weights ``w*`` in ``[0, 2**24)`` (all
+  ones when absent).
 * ``vertex_labels`` / ``edge_labels`` — small-int labels used by MetaPath.
 
 Instances are cheap views over numpy arrays; nothing here copies per-vertex
@@ -32,6 +33,10 @@ EDGE_RECORD_BYTES = 4
 
 #: Bytes per ``row_index`` entry: the (address, degree) neighbor-info tuple.
 NEIGHBOR_INFO_BYTES = 8
+
+#: Exclusive upper bound of a static edge weight: the WRS sampler's 32-bit
+#: fixed point keeps 8 fractional bits (``repro.walks.base.WEIGHT_FRAC_BITS``).
+MAX_STATIC_WEIGHT = float(1 << 24)
 
 
 @dataclass
@@ -163,10 +168,18 @@ class CSRGraph:
                 f"for {n} vertices"
             )
         if self.edge_weights is not None and self.edge_weights.size:
-            if not np.all(np.isfinite(self.edge_weights)):
+            # NaN propagates into min and max, and an infinity is one of them.
+            lowest = float(self.edge_weights.min())
+            highest = float(self.edge_weights.max())
+            if not (np.isfinite(lowest) and np.isfinite(highest)):
                 raise GraphFormatError("edge weights must be finite (no NaN or inf)")
-            if float(self.edge_weights.min()) < 0:
+            if lowest < 0:
                 raise GraphFormatError("edge weights must be non-negative")
+            if highest >= MAX_STATIC_WEIGHT:
+                raise GraphFormatError(
+                    f"edge weights must be below {MAX_STATIC_WEIGHT:.0f} (2**24): "
+                    "the sampler's fixed point has 24 integer bits"
+                )
 
     def neighbors_sorted(self) -> bool:
         """True when every row of col_index is ascending (required layout)."""

@@ -23,8 +23,8 @@ and one add per lane:
     p > r   <=>   2^32 * w > r* * (w_sum + W_ps) + w
 
 with ``r*`` the raw 32-bit random integer.  :func:`integer_accept` implements
-it exactly in 64-bit arithmetic (with an arbitrary-precision fallback when
-the running weight sum exceeds 32 bits), so the cycle simulator and the fast
+it exactly in 64-bit arithmetic (splitting the running weight sum into two
+32-bit limbs once it exceeds 32 bits), so the cycle simulator and the fast
 analytic model produce bit-identical decisions.
 """
 
@@ -36,7 +36,8 @@ from repro.errors import ConfigError
 from repro.sampling.rng import ThundeRingRNG
 
 _SHIFT32 = np.uint64(32)
-_U32_LIMIT = 1 << 32
+_U32_LIMIT = np.uint64(1 << 32)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def integer_accept(
@@ -50,7 +51,7 @@ def integer_accept(
         Per-lane fixed-point weights ``w`` (non-negative integers < 2^32).
     inclusive_prefix:
         Per-lane ``w_sum + W_ps[j]`` — the inclusive running weight total up
-        to and including this lane.
+        to and including this lane (an integer < 2^64).
     r_star:
         Per-lane raw 32-bit uniform integers.
 
@@ -64,32 +65,22 @@ def integer_accept(
     With ``inclusive_prefix < 2^32`` everything fits in uint64
     (``r* * prefix < 2^64``) and the comparison is done natively.  Larger
     running sums — possible only on extreme degree/weight combinations —
-    fall back to Python integers, preserving exactness at some speed cost.
+    split the prefix into 32-bit limbs ``P = hi * 2^32 + lo``.  Then
+    ``2^32 w > r* P + w`` holds exactly when
+    ``w > r* hi + ((r* lo + w) >> 32)``, and every term fits in uint64.
     """
-    weights = np.asarray(weights)
-    inclusive_prefix = np.asarray(inclusive_prefix)
-    r_star = np.asarray(r_star)
-    if weights.dtype.kind == "i" and weights.size and int(weights.min()) < 0:
+    w64 = np.asarray(weights)
+    if w64.dtype.kind == "i" and w64.size and int(w64.min()) < 0:
         raise ValueError("weights must be non-negative")
-    max_prefix = int(inclusive_prefix.max()) if inclusive_prefix.size else 0
-    if max_prefix < _U32_LIMIT:
-        w64 = np.asarray(weights, dtype=np.uint64)
-        prefix64 = np.asarray(inclusive_prefix, dtype=np.uint64)
-        r64 = np.asarray(r_star, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            lhs = w64 << _SHIFT32
-            rhs = r64 * prefix64 + w64
-        return lhs > rhs
-    # Arbitrary-precision fallback for running sums beyond 32 bits.
-    accept = np.zeros(weights.shape, dtype=bool)
-    flat = accept.reshape(-1)
-    w_flat = np.asarray(weights, dtype=object).reshape(-1)
-    p_flat = np.asarray(inclusive_prefix, dtype=object).reshape(-1)
-    r_flat = np.asarray(r_star, dtype=object).reshape(-1)
-    for i in range(flat.size):
-        w = int(w_flat[i])
-        flat[i] = (w << 32) > int(r_flat[i]) * int(p_flat[i]) + w
-    return accept
+    w64 = w64.astype(np.uint64, copy=False)
+    prefix64 = np.asarray(inclusive_prefix).astype(np.uint64, copy=False)
+    r64 = np.asarray(r_star).astype(np.uint64, copy=False)
+    with np.errstate(over="ignore"):
+        if not prefix64.size or prefix64.max() < _U32_LIMIT:
+            return (w64 << _SHIFT32) > r64 * prefix64 + w64
+        low = r64 * (prefix64 & _LOW32) + w64
+        low >>= _SHIFT32
+        return w64 > r64 * (prefix64 >> _SHIFT32) + low
 
 
 class ParallelWRS:

@@ -16,12 +16,19 @@ weight clamped to at least one so quantization never silently forbids an
 edge the algorithm allowed.  ``WEIGHT_SCALE = 256`` (8 fractional bits)
 represents the paper's weight range — random static weights in ``[1, 4)``
 scaled by Node2Vec's ``1/p``/``1/q`` factors — with relative error below
-0.4 %.
+0.4 %.  The sampler's weight port is 32 bits wide, so a weight whose
+fixed-point value would not fit (``MAX_WEIGHT``, just under ``2**24``)
+is rejected rather than wrapped.  ``CSRGraph.validate`` holds static
+weights below ``2**24``, and Node2Vec's ``validate_graph`` refuses a
+``1/p`` or ``1/q`` that would scale them past ``MAX_WEIGHT``; for any
+other update function the bound is enforced per step, by
+:func:`quantize_weights`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,21 +40,46 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 WEIGHT_FRAC_BITS = 8
 WEIGHT_SCALE = 1 << WEIGHT_FRAC_BITS
 
+#: Largest weight whose fixed-point value ``rint(w * WEIGHT_SCALE)`` fits the
+#: sampler's 32-bit weight port (``2**32 - 1``; ties round to even, so
+#: ``(2**32 - 0.5) / WEIGHT_SCALE`` itself would round up to ``2**32``).
+MAX_WEIGHT = np.nextafter((2.0**32 - 0.5) / WEIGHT_SCALE, 0.0)
+_MAX_WEIGHT_BITS = np.float64(MAX_WEIGHT).view(np.uint64)
+
 
 def quantize_weights(weights: np.ndarray) -> np.ndarray:
     """Quantize non-negative float weights to the hardware fixed point.
 
     Zero stays zero (a forbidden edge must stay forbidden); any positive
     weight becomes at least one (an allowed edge must stay allowed).
+    Weights must lie in the 32-bit fixed-point domain: finite, ``>= 0``
+    and with ``rint(w * WEIGHT_SCALE) < 2**32`` — just under ``2**24``,
+    which every float32 weight below ``2**24`` meets.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    # Written so that NaN fails it too: NaN < 0 is false.
-    if weights.size and not (weights.min() >= 0):
-        raise ValueError("sampling weights must be non-negative and not NaN")
-    quantized = np.rint(weights * WEIGHT_SCALE).astype(np.uint64)
-    positive = weights > 0
-    quantized[positive & (quantized == 0)] = 1
-    return quantized
+    # One comparison checks the whole domain: as uint64, the bits of
+    # negative numbers (sign bit), NaN and inf all exceed the bits of the
+    # largest admissible weight.  -0.0 trips it too, so recheck by value.
+    if weights.size and not weights.view(np.uint64).max() <= _MAX_WEIGHT_BITS:
+        if not (weights.min() >= 0 and weights.max() <= MAX_WEIGHT):
+            raise ValueError(
+                "sampling weights must be non-negative, not NaN, and below "
+                f"2**{32 - WEIGHT_FRAC_BITS} (the {32 - WEIGHT_FRAC_BITS}.{WEIGHT_FRAC_BITS} "
+                "fixed-point domain)"
+            )
+    scaled = np.multiply(weights, WEIGHT_SCALE)
+    np.rint(scaled, out=scaled)
+    quantized = np.empty(weights.shape, dtype=np.uint64)
+    return np.maximum(scaled, weights > 0, out=quantized, casting="unsafe")
+
+
+def unit_weights(n_edges: int) -> np.ndarray:
+    """``n_edges`` weights of one, as a read-only view that allocates nothing.
+
+    The view has stride 0, which is how :class:`~repro.walks.stepper.PWRSSampler`
+    recognizes a constant weight vector and skips its per-edge prefix sum.
+    """
+    return np.broadcast_to(np.float64(1.0), (n_edges,))
 
 
 @dataclass
@@ -57,7 +89,9 @@ class StepContext:
     All per-edge arrays share one flat index space: query ``j`` (a position
     within this block, not a global query id) owns the slice
     ``[seg_starts[j], seg_starts[j] + degrees[j])``.  Built by
-    :func:`gather_step`.
+    :func:`gather_step`, which fills the per-query arrays and ``within``;
+    the other per-edge arrays are computed on first read and cached, so a
+    step pays only for the ones its algorithm reads.
     """
 
     graph: "CSRGraph"
@@ -67,26 +101,59 @@ class StepContext:
     prev: np.ndarray  # -1 where the query has no previous vertex yet
     degrees: np.ndarray
     seg_starts: np.ndarray
-    #: per-edge arrays (length = degrees.sum())
-    edge_query: np.ndarray  # block position owning each edge
-    within: np.ndarray  # index of each edge within its query's segment
-    dst: np.ndarray
-    static_weights: np.ndarray
-    edge_positions: np.ndarray  # index into graph.col_index for each edge
+    #: index of each edge within its query's segment (length = degrees.sum())
+    within: np.ndarray
+    #: the graph's col_index / edge_weights, or int64 / float64 copies of
+    #: them; ``edge_weights=None`` means unit static weights
+    col_index: np.ndarray
+    edge_weights: np.ndarray | None
     #: sorted u*|V|+v keys of the whole graph, for O(log E) membership tests
     edge_keys_sorted: np.ndarray | None = None
 
     @property
     def n_edges(self) -> int:
-        return int(self.dst.size)
+        return int(self.within.size)
 
     @property
     def n_queries(self) -> int:
         return int(self.curr.size)
 
+    @cached_property
+    def edge_query(self) -> np.ndarray:
+        """Block position of the query owning each edge."""
+        return np.repeat(np.arange(self.curr.size, dtype=np.int64), self.degrees)
+
+    @cached_property
+    def edge_positions(self) -> np.ndarray:
+        """Index of each edge into ``graph.col_index``."""
+        return np.repeat(self.graph.row_index[self.curr], self.degrees) + self.within
+
+    @cached_property
+    def dst(self) -> np.ndarray:
+        """Destination vertex of each edge (int64)."""
+        return self.col_index[self.edge_positions].astype(np.int64, copy=False)
+
+    @cached_property
+    def static_weights(self) -> np.ndarray:
+        """Static weight ``w*`` of each edge (float64; :func:`unit_weights`
+        when unweighted)."""
+        if self.edge_weights is None:
+            return unit_weights(self.n_edges)
+        return self.edge_weights[self.edge_positions].astype(np.float64, copy=False)
+
     def prev_per_edge(self) -> np.ndarray:
         """Previous vertex of the owning query, broadcast per edge."""
-        return self.prev[self.edge_query]
+        return np.repeat(self.prev, self.degrees)
+
+    def next_vertices(self, chosen: np.ndarray) -> np.ndarray:
+        """Vertex at within-segment index ``chosen`` of each query's segment.
+
+        One gather per query, not per edge; ``-1`` (a dead end) stays ``-1``.
+        """
+        picked = np.full(chosen.shape, -1, dtype=np.int64)
+        ok = chosen >= 0
+        picked[ok] = self.col_index[self.graph.row_index[self.curr[ok]] + chosen[ok]]
+        return picked
 
 
 def gather_step(
@@ -109,9 +176,8 @@ def gather_step(
     seg_starts = np.zeros(curr.size, dtype=np.int64)
     np.cumsum(degrees[:-1], out=seg_starts[1:])
     n_edges = int(seg_starts[-1] + degrees[-1]) if curr.size else 0
-    edge_query = np.repeat(np.arange(curr.size, dtype=np.int64), degrees)
-    within = np.arange(n_edges, dtype=np.int64) - np.repeat(seg_starts, degrees)
-    edge_positions = np.repeat(graph.row_index[curr], degrees) + within
+    within = np.arange(n_edges, dtype=np.int64)
+    within -= np.repeat(seg_starts, degrees)
     return StepContext(
         graph=graph,
         step=step,
@@ -119,15 +185,9 @@ def gather_step(
         prev=np.asarray(prev, dtype=np.int64),
         degrees=degrees,
         seg_starts=seg_starts,
-        edge_query=edge_query,
         within=within,
-        dst=col_index[edge_positions].astype(np.int64, copy=False),
-        static_weights=(
-            edge_weights[edge_positions].astype(np.float64, copy=False)
-            if edge_weights is not None
-            else np.ones(n_edges, dtype=np.float64)
-        ),
-        edge_positions=edge_positions,
+        col_index=col_index,
+        edge_weights=edge_weights,
         edge_keys_sorted=edge_keys,
     )
 
@@ -158,7 +218,11 @@ class WalkAlgorithm:
     requires_edge_weights: bool = False
 
     def dynamic_weights(self, ctx: StepContext) -> np.ndarray:
-        """Return per-edge sampling weights (float64, non-negative)."""
+        """Return per-edge sampling weights (float64, non-negative).
+
+        The result is read, never written, so a walk whose weights are all
+        one returns :func:`unit_weights` and skips the allocation.
+        """
         raise NotImplementedError
 
     def needs_edge_keys(self) -> bool:

@@ -92,7 +92,7 @@ class MetaPathWalk(WalkAlgorithm):
             labels = ctx.graph.edge_labels[ctx.edge_positions]
         matches = labels == required
         if self.weighted:
-            return np.where(matches, ctx.static_weights.astype(np.float64), 0.0)
+            return np.where(matches, ctx.static_weights, 0.0)
         return matches.astype(np.float64)
 
     def __repr__(self) -> str:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import QueryError
-from repro.walks.base import StepContext, WalkAlgorithm
+from repro.walks.base import MAX_WEIGHT, StepContext, WalkAlgorithm
 
 
 class Node2VecWalk(WalkAlgorithm):
@@ -43,18 +43,33 @@ class Node2VecWalk(WalkAlgorithm):
         self.p = float(p)
         self.q = float(q)
 
+    def validate_graph(self, graph) -> None:
+        """Also refuse, before the first step, static weights that ``1/p``
+        or ``1/q`` would scale past the sampler's fixed point."""
+        super().validate_graph(graph)
+        if graph.edge_weights is None or not graph.edge_weights.size:
+            return
+        heaviest = float(graph.edge_weights.max()) * max(1.0, 1.0 / self.p, 1.0 / self.q)
+        if heaviest > MAX_WEIGHT:
+            raise QueryError(
+                f"{self!r} scales the heaviest static edge weight to {heaviest:g}, "
+                f"beyond the sampler's fixed-point domain (below {MAX_WEIGHT:.0f}); "
+                "rescale the edge weights"
+            )
+
     def dynamic_weights(self, ctx: StepContext) -> np.ndarray:
-        weights = ctx.static_weights.astype(np.float64)
+        if not np.any(ctx.prev >= 0):
+            return ctx.static_weights
         prev = ctx.prev_per_edge()
         has_prev = prev >= 0
-        if not np.any(has_prev):
-            return weights
         is_return = (ctx.dst == prev) & has_prev
         explore = has_prev & ~is_return & ~connected_to_previous(ctx)
         scale = np.ones(ctx.n_edges, dtype=np.float64)
         scale[is_return] = 1.0 / self.p
         scale[explore] = 1.0 / self.q
-        return weights * scale
+        if ctx.edge_weights is None:  # w* = 1, and 1 * scale is exactly scale
+            return scale
+        return ctx.static_weights * scale
 
     def __repr__(self) -> str:
         return f"Node2VecWalk(p={self.p}, q={self.q})"
@@ -86,9 +101,9 @@ def connected_to_previous(ctx: StepContext) -> np.ndarray:
     from_prev = has_prev & (prev_degrees < ctx.degrees)
     connected = np.zeros(ctx.n_edges, dtype=bool)
 
-    per_candidate = (has_prev & ~from_prev)[ctx.edge_query]
+    per_candidate = np.repeat(has_prev & ~from_prev, ctx.degrees)
     if np.any(per_candidate):
-        needles = prev[ctx.edge_query[per_candidate]] * n + ctx.dst[per_candidate]
+        needles = np.repeat(prev * n, ctx.degrees)[per_candidate] + ctx.dst[per_candidate]
         found = np.searchsorted(keys, needles)
         connected[per_candidate] = keys[np.minimum(found, keys.size - 1)] == needles
 

@@ -130,8 +130,7 @@ def run_restart_walks(
                 weights64,
             )
             chosen = sampler.select(ctx, ctx.static_weights, walkers)
-            picked = ctx.dst[ctx.seg_starts + np.maximum(chosen, 0)]
-            next_vertices[~restart] = np.where(chosen >= 0, picked, np.int64(-1))
+            next_vertices[~restart] = ctx.next_vertices(chosen)
 
         # Trace: restart steps cost no memory traffic (degree recorded 0).
         step_degrees = np.where(restart, 0, degrees[curr[active]])

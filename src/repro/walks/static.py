@@ -20,4 +20,4 @@ class StaticWalk(WalkAlgorithm):
     requires_edge_weights = True
 
     def dynamic_weights(self, ctx: StepContext) -> np.ndarray:
-        return ctx.static_weights.astype(np.float64)
+        return ctx.static_weights

@@ -31,6 +31,39 @@ PWRS prefix sums are exact integers.  (The inverse-transform CDF is a
 float prefix sum, so its draws are layout-independent to the extent that
 sum is exact, as across shard layouts.)
 
+Lazy per-edge fields
+--------------------
+:func:`~repro.walks.base.gather_step` builds only the per-query arrays and
+each edge's index ``within`` its query's segment.  The other per-edge
+arrays of the :class:`~repro.walks.base.StepContext` (``edge_query``,
+``edge_positions``, ``dst``, ``static_weights``) are built on first read
+and cached, so a step pays only for what its algorithm reads: MetaPath
+never builds ``edge_query``, and a uniform step builds none of them.  The
+chosen vertex is one gather per query,
+``col_index[row_index[curr] + chosen]``
+(:meth:`~repro.walks.base.StepContext.next_vertices`), not a per-edge
+``dst``.
+
+The PWRS lane draws are per edge but keyed per query: an edge's cycle
+counter is its query's counter plus ``within // k`` and its lane key is
+row ``within % k`` of its query's keys.  Both come from one ``np.repeat``
+of the per-query value plus a gather from a small table indexed by
+``within`` (``cycle_of``, ``lane_of``), built once per sampler up to the
+graph's maximum degree.
+
+Constant weights
+----------------
+A walk whose weights are all one returns
+:func:`~repro.walks.base.unit_weights`, a stride-0 view that allocates
+nothing: :class:`~repro.walks.uniform.UniformWalk` always, and on an
+unweighted graph ``StepContext.static_weights`` (restart walks, Node2Vec's
+first step).  PWRS reads any stride-0 weight vector as one weight ``w``
+for every edge, quantizes that one value, and computes each inclusive
+segment prefix as ``w * (within + 1)``: no per-edge quantization,
+cumulative sum or segment-base subtraction.  Those are the integers the
+generic path computes from an explicit array of the same value, so the
+walks are the same.
+
 Per-query randomness
 --------------------
 Each query ``q`` draws from its own lane family, keyed by
@@ -103,11 +136,23 @@ class PWRSSampler:
         self.seed = int(seed)
         self._lane_keys: np.ndarray | None = None
         self._counters: np.ndarray | None = None
+        # Tables indexed by an edge's within-segment index (see "Lazy
+        # per-edge fields" in the module docstring), grown to the graph's
+        # maximum degree on first use.
+        self._cycle_of = np.empty(0, dtype=np.uint64)
+        self._lane_of = np.empty(0, dtype=np.int64)
 
     def attach(self, num_queries: int, query_ids: np.ndarray) -> None:
         """Allocate per-query lane keys and cycle counters."""
         self._lane_keys = _query_lane_keys(self.seed, query_ids, self.k)
         self._counters = np.zeros(num_queries, dtype=np.uint64)
+
+    def _grow_tables(self, ctx: StepContext) -> None:
+        if ctx.degrees.size == 0 or int(ctx.degrees.max()) <= self._lane_of.size:
+            return
+        within = np.arange(max(int(ctx.graph.degrees.max()), 1), dtype=np.int64)
+        self._cycle_of = (within // self.k).astype(np.uint64)
+        self._lane_of = within % self.k
 
     def select(
         self,
@@ -123,25 +168,36 @@ class PWRSSampler:
         """
         if self._lane_keys is None or self._counters is None:
             raise ConfigError("sampler not attached; call attach() first")
-        w_int = quantize_weights(weights)
-        seg_starts = ctx.seg_starts
-        incl_prefix = np.cumsum(w_int, dtype=np.uint64)
-        seg_base = incl_prefix[seg_starts] - w_int[seg_starts]
-        incl_prefix -= np.repeat(seg_base, ctx.degrees)
+        self._grow_tables(ctx)
+        within, degrees, seg_starts = ctx.within, ctx.degrees, ctx.seg_starts
+        weights = np.asarray(weights)
+        if weights.strides == (0,):
+            # One weight for every edge ("Constant weights" in the module
+            # docstring), taken as a scalar: integer_accept broadcasts a 0-d
+            # operand several times faster than a 1-element array.
+            w_int = quantize_weights(weights[:1])[0]
+            incl_prefix = within.astype(np.uint64)
+            incl_prefix += np.uint64(1)
+            incl_prefix *= w_int
+        else:
+            w_int = quantize_weights(weights)
+            incl_prefix = np.cumsum(w_int, dtype=np.uint64)
+            seg_base = incl_prefix[seg_starts] - w_int[seg_starts]
+            incl_prefix -= np.repeat(seg_base, degrees)
 
-        cycles_within, lanes = np.divmod(ctx.within, self.k)
-        rows = active_index[ctx.edge_query]
-        counters = self._counters[rows]
-        counters += cycles_within.astype(np.uint64)
-        keys = self._lane_keys.ravel()[rows * self.k + lanes]
-        r_star = _lane_uint32(counters, keys)
+        counters = np.repeat(self._counters[active_index], degrees)
+        counters += self._cycle_of[within]
+        lanes = np.repeat(active_index * self.k, degrees)
+        lanes += self._lane_of[within]
+        r_star = _lane_uint32(counters, self._lane_keys.ravel()[lanes])
 
         accept = integer_accept(w_int, incl_prefix, r_star)
-        marked = np.where(accept, ctx.within, np.int64(-1))
-        chosen = np.maximum.reduceat(marked, seg_starts)
+        # The last accepted lane wins; 0 marks "none", so nothing gives -1.
+        chosen = np.maximum.reduceat((within + 1) * accept, seg_starts)
+        chosen -= 1
 
         # Active queries are distinct, so plain fancy-index += is exact.
-        self._counters[active_index] += (-(-ctx.degrees // self.k)).astype(np.uint64)
+        self._counters[active_index] += (-(-degrees // self.k)).astype(np.uint64)
         return chosen
 
     def fork_single(self, query_id: int) -> ThundeRingRNG:
@@ -334,8 +390,7 @@ def run_walks(
                 edge_keys,
             )
             chosen = sampler.select(ctx, algorithm.dynamic_weights(ctx), active[block])
-            picked = ctx.dst[ctx.seg_starts + np.maximum(chosen, 0)]
-            next_vertices[block] = np.where(chosen >= 0, picked, np.int64(-1))
+            next_vertices[block] = ctx.next_vertices(chosen)
             lo = hi
         sampled = next_vertices >= 0
 

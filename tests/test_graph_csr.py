@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph, EDGE_RECORD_BYTES, NEIGHBOR_INFO_BYTES
+from repro.graph.builders import from_edge_list
+from repro.graph.csr import (
+    EDGE_RECORD_BYTES,
+    MAX_STATIC_WEIGHT,
+    NEIGHBOR_INFO_BYTES,
+    CSRGraph,
+)
+from repro.walks.base import WEIGHT_SCALE, quantize_weights
 
 
 def test_basic_shape(tiny_graph):
@@ -132,6 +139,30 @@ class TestValidation:
                 row_index=np.array([0, 2]),
                 col_index=np.array([0, 0]),
                 edge_weights=np.array([1.0, bad]),
+            )
+
+    def test_weights_beyond_fixed_point_rejected(self):
+        # The 1e17 reproducer: edges 0->2 (w=1e17) and 1->{0,2,3} (w=1).
+        # Quantized, 1e17 wrapped to 0 and then became 1, so the heavy
+        # edge lost to its light neighbours; now the graph is refused.
+        with pytest.raises(GraphFormatError, match="2\\*\\*24"):
+            from_edge_list(
+                np.array([[0, 2], [1, 0], [1, 2], [1, 3]]),
+                num_vertices=4,
+                weights=np.array([1e17, 1.0, 1.0, 1.0]),
+            )
+
+    def test_largest_static_weight_accepted(self):
+        below = np.nextafter(np.float32(MAX_STATIC_WEIGHT), np.float32(0))
+        graph = CSRGraph(
+            row_index=np.array([0, 1]), col_index=np.array([0]), edge_weights=np.array([below])
+        )
+        assert quantize_weights(graph.edge_weights)[0] == int(below) * WEIGHT_SCALE
+        with pytest.raises(GraphFormatError):
+            CSRGraph(
+                row_index=np.array([0, 1]),
+                col_index=np.array([0]),
+                edge_weights=np.array([MAX_STATIC_WEIGHT]),
             )
 
     def test_empty_graph_is_valid(self):

@@ -35,6 +35,24 @@ class TestIntegerAccept:
         expected = w * (2**32 - 1) > r_star * prefix
         assert bool(got) == expected
 
+    @given(
+        w=st.integers(0, 2**32 - 1),
+        prefix=st.integers(0, 2**63),
+        r_star=st.integers(0, 2**32 - 1),
+        others=st.lists(st.integers(0, 2**63), max_size=3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_python_integers_up_to_2_63(self, w, prefix, r_star, others):
+        """Prefixes past 32 bits take the two-limb path; lanes stay exact."""
+        prefixes = [max(prefix, w)] + others
+        got = integer_accept(
+            np.full(len(prefixes), w, dtype=np.uint64),
+            np.array(prefixes, dtype=np.uint64),
+            np.full(len(prefixes), r_star, dtype=np.uint64),
+        )
+        expected = [(w << 32) > r_star * p + w for p in prefixes]
+        assert got.tolist() == expected
+
     def test_zero_weight_never_accepted(self):
         got = integer_accept(
             np.zeros(4, dtype=np.uint64),
@@ -44,7 +62,7 @@ class TestIntegerAccept:
         assert not got.any()
 
     def test_large_prefix_fallback_path(self):
-        """Prefixes beyond 32 bits use the arbitrary-precision branch."""
+        """Prefixes beyond 32 bits use the two-limb branch."""
         w = np.array([1 << 20, 1], dtype=object)
         prefix = np.array([1 << 40, (1 << 40) + 1], dtype=object)
         r = np.array([0, 2**32 - 1], dtype=object)
@@ -61,8 +79,8 @@ class TestIntegerAccept:
         slow = integer_accept(
             w.astype(object), prefix.astype(object) + (1 << 33) - (1 << 33), r.astype(object)
         )
-        # Force the object path by inflating one prefix beyond 2^32 at the
-        # end (it only affects its own lane).
+        # Force the two-limb path by inflating one prefix beyond 2^32 at
+        # the end (it only affects its own lane).
         prefix_big = prefix.astype(object)
         prefix_big[-1] = int(prefix_big[-1]) + (1 << 33)
         mixed = integer_accept(w.astype(object), prefix_big, r.astype(object))

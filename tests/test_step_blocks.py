@@ -7,7 +7,12 @@ whose degree exceeds the smaller edge budgets:
   every candidate edge, whichever side each query searches from;
 * ``run_walks`` returns the same paths, lengths and step records whatever
   the step block budget;
-* Node2Vec rows of ``run_walks`` equal the scalar ``walk_single_query``.
+* Node2Vec rows of ``run_walks`` equal the scalar ``walk_single_query``;
+* the constant-weight PWRS path (a stride-0 weight view, as
+  :class:`UniformWalk` returns) equals the generic path fed an explicit
+  array of the same value, for any ``k``, block budget and shard split;
+* every lazily built :class:`StepContext` field equals its definition, and
+  a step builds only the fields its algorithm reads.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from hypothesis import strategies as st
 from repro.graph.builders import from_edge_list
 from repro.graph.labels import assign_random_weights, assign_vertex_labels
 from repro.walks import stepper
-from repro.walks.base import gather_step
+from repro.walks.base import StepContext, gather_step
 from repro.walks.metapath import MetaPathWalk
 from repro.walks.node2vec import Node2VecWalk, connected_to_previous
 from repro.walks.stepper import (
@@ -137,3 +142,127 @@ def test_node2vec_rows_match_walk_single_query(graph, starts, n_steps, k, seed):
             graph, int(start), n_steps, algorithm, k=k, seed=seed, query_id=q
         )
         np.testing.assert_array_equal(session.path(q), expected)
+
+
+class ConstantWalk(UniformWalk):
+    """Every edge weighs ``value``: a stride-0 view, or an explicit array."""
+
+    def __init__(self, value: float, explicit: bool) -> None:
+        self.value = value
+        self.explicit = explicit
+
+    def dynamic_weights(self, ctx):
+        if self.explicit:
+            return np.full(ctx.n_edges, self.value)
+        return np.broadcast_to(np.float64(self.value), (ctx.n_edges,))
+
+
+def _assert_sessions_equal(got, want):
+    np.testing.assert_array_equal(got.paths, want.paths)
+    np.testing.assert_array_equal(got.lengths, want.lengths)
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert a.step == b.step
+        for name in ("query_ids", "curr", "degrees", "prev", "prev_degrees", "next_vertex"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype, name
+            np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+@given(
+    graph=multigraphs(),
+    starts=st.lists(st.integers(0, 13), min_size=1, max_size=12),
+    n_steps=st.integers(1, 8),
+    k=st.sampled_from([1, 3, 10, 16, 32]),
+    seed=st.integers(0, 2**16),
+    value=st.sampled_from([1.0, 0.3, 7.0, 0.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_constant_weight_path_matches_explicit_array(graph, starts, n_steps, k, seed, value):
+    starts = np.array(starts) % graph.num_vertices
+    query_ids = np.arange(starts.size)
+    viewed = UniformWalk() if value == 1.0 else ConstantWalk(value, explicit=False)
+    for shards in (1, 4):
+        for ids in np.array_split(query_ids, shards):
+            for budget in BUDGETS:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(stepper, "STEP_BLOCK_EDGES", budget)
+                    constant, explicit = (
+                        run_walks(
+                            graph,
+                            starts[ids],
+                            n_steps,
+                            algorithm,
+                            PWRSSampler(k=k, seed=seed),
+                            query_ids=ids,
+                        )
+                        for algorithm in (viewed, ConstantWalk(value, explicit=True))
+                    )
+                _assert_sessions_equal(constant, explicit)
+
+
+@given(
+    graph=multigraphs(),
+    curr=st.lists(st.integers(0, 13), min_size=1, max_size=12),
+    weighted=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_lazy_fields_equal_their_definitions(graph, curr, weighted):
+    curr = np.array(curr) % graph.num_vertices
+    weights = graph.edge_weights if weighted else None
+    ctx = gather_step(graph, 0, curr, np.full(curr.size, -1), graph.col_index, weights)
+    owner, within, positions = [], [], []
+    for j, v in enumerate(curr.tolist()):
+        for i in range(graph.degree(v)):
+            owner.append(j)
+            within.append(i)
+            positions.append(int(graph.row_index[v]) + i)
+    np.testing.assert_array_equal(ctx.within, within)
+    np.testing.assert_array_equal(ctx.edge_query, owner)
+    np.testing.assert_array_equal(ctx.edge_positions, positions)
+    np.testing.assert_array_equal(ctx.dst, graph.col_index[positions])
+    assert ctx.dst.dtype == np.int64
+    expected_weights = graph.edge_weights[positions] if weighted else np.ones(len(positions))
+    np.testing.assert_array_equal(ctx.static_weights, expected_weights)
+    assert ctx.static_weights.dtype == np.float64
+    np.testing.assert_array_equal(ctx.prev_per_edge(), ctx.prev[ctx.edge_query])
+    walkable = np.flatnonzero(ctx.degrees > 0)
+    chosen = np.full(curr.size, -1)
+    chosen[walkable] = (ctx.degrees[walkable] - 1) // 2
+    expected_next = np.full(curr.size, -1)
+    expected_next[walkable] = ctx.dst[ctx.seg_starts[walkable] + chosen[walkable]]
+    np.testing.assert_array_equal(ctx.next_vertices(chosen), expected_next)
+
+
+def _forbid(patch, *names):
+    """Make reading the given lazy StepContext fields fail."""
+
+    def refuse(name):
+        def read(self):
+            raise AssertionError(f"step built StepContext.{name}")
+
+        return property(read)
+
+    for name in names:
+        patch.setattr(StepContext, name, refuse(name))
+
+
+@pytest.mark.parametrize("sampler", ["pwrs", "inverse-transform"])
+@given(graph=multigraphs())
+@settings(max_examples=20, deadline=None)
+def test_uniform_step_builds_no_per_edge_field(sampler, graph):
+    starts = np.arange(graph.num_vertices)
+    make = {"pwrs": lambda: PWRSSampler(k=3, seed=1), "inverse-transform": InverseTransformSampler}
+    with pytest.MonkeyPatch.context() as patch:
+        _forbid(patch, "dst", "edge_query", "edge_positions", "static_weights")
+        session = run_walks(graph, starts, 6, UniformWalk(), make[sampler]())
+    assert session.total_steps > 0
+
+
+@given(graph=multigraphs())
+@settings(max_examples=20, deadline=None)
+def test_metapath_step_builds_no_edge_owner(graph):
+    starts = np.arange(graph.num_vertices)
+    with pytest.MonkeyPatch.context() as patch:
+        _forbid(patch, "edge_query")
+        run_walks(graph, starts, 6, MetaPathWalk([0, 1]), PWRSSampler(k=3, seed=1))

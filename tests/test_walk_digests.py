@@ -1,0 +1,82 @@
+"""Golden digests of whole walk sessions.
+
+SHA-256 over the ``paths``, ``lengths`` and every :class:`StepRecord` of
+four seeded RMAT-10 batches — one per sampler path the walk kernel has:
+uniform (unit weights), Node2Vec and MetaPath on PWRS, and Node2Vec on the
+inverse-transform sampler.  Any change to a walk, a lane draw or a trace
+field moves a digest; a change that means to do so must say so and
+re-pin the constant.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.core import make_queries
+from repro.graph.generators import rmat_graph
+from repro.graph.labels import assign_random_weights, assign_vertex_labels
+from repro.walks import (
+    InverseTransformSampler,
+    MetaPathWalk,
+    Node2VecWalk,
+    PWRSSampler,
+    UniformWalk,
+    run_walks,
+)
+
+RECORD_FIELDS = ("query_ids", "curr", "degrees", "prev", "prev_degrees", "next_vertex")
+
+SHAPES = {
+    "uniform-pwrs": (UniformWalk, lambda: PWRSSampler(k=16, seed=11)),
+    "node2vec-pwrs": (lambda: Node2VecWalk(2.0, 0.5), lambda: PWRSSampler(k=16, seed=11)),
+    "metapath-pwrs": (lambda: MetaPathWalk([0, 1, 2, 3]), lambda: PWRSSampler(k=16, seed=11)),
+    "node2vec-inverse-transform": (
+        lambda: Node2VecWalk(2.0, 0.5),
+        lambda: InverseTransformSampler(seed=11),
+    ),
+}
+
+DIGESTS = {
+    "uniform-pwrs": "4b6eadc6c3fa58fb858afd404700c0446cd607b5c24712354841cddd49532bd4",
+    "node2vec-pwrs": "e31130bdf5b6cdf8c5cbf2479db82872a267abd122068471d6e7c91797428da1",
+    "metapath-pwrs": "adf0748a8c90ebf9068d961dd55a34c5ef86129ff16371a8dc312e77fb782c6b",
+    "node2vec-inverse-transform": (
+        "8f78fe351ffb57f2ee0fd623d4d56335c9f457b231a4d45f862c5ba6128b5b83"
+    ),
+}
+
+
+def session_digest(session) -> str:
+    """SHA-256 of a session's paths, lengths and step records."""
+    h = hashlib.sha256()
+
+    def feed(array: np.ndarray) -> None:
+        array = np.ascontiguousarray(array)
+        h.update(f"{array.dtype.str}{array.shape}".encode())
+        h.update(array.tobytes())
+
+    feed(session.paths)
+    feed(session.lengths)
+    for record in session.records:
+        h.update(f"step {record.step}".encode())
+        for name in RECORD_FIELDS:
+            feed(getattr(record, name))
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def graph():
+    graph = rmat_graph(10, edge_factor=8, seed=5)
+    graph = assign_vertex_labels(graph, n_labels=4, seed=6)
+    return assign_random_weights(graph, seed=7)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_session_digest_is_pinned(graph, shape):
+    make_algorithm, make_sampler = SHAPES[shape]
+    starts = make_queries(graph, n_queries=512, seed=3)
+    session = run_walks(graph, starts, 20, make_algorithm(), make_sampler())
+    assert session_digest(session) == DIGESTS[shape]

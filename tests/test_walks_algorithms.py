@@ -8,10 +8,11 @@ import pytest
 from repro.errors import QueryError
 from repro.graph.builders import from_edge_list
 from repro.graph.labels import assign_edge_labels
-from repro.walks.base import WEIGHT_SCALE, gather_step, quantize_weights
+from repro.walks.base import MAX_WEIGHT, WEIGHT_SCALE, gather_step, quantize_weights
 from repro.walks.metapath import MetaPathWalk
 from repro.walks.node2vec import Node2VecWalk, connected_to_previous
 from repro.walks.static import StaticWalk
+from repro.walks.stepper import PWRSSampler, run_walks
 from repro.walks.uniform import UniformWalk
 
 
@@ -50,11 +51,30 @@ class TestQuantize:
         with pytest.raises(ValueError, match="non-negative"):
             quantize_weights(np.array([1.0, bad]))
 
+    @pytest.mark.parametrize("bad", [1e17, np.inf, 2.0**24, (2**32 - 0.5) / WEIGHT_SCALE])
+    def test_beyond_fixed_point_rejected(self, bad):
+        # 1e17 * 256 used to wrap to 0 in the uint64 cast and come out as 1,
+        # so the heaviest edge became the lightest.
+        with pytest.raises(ValueError, match="fixed-point"):
+            quantize_weights(np.array([bad, 1.0, 1.0]))
+
+    def test_largest_weight_fills_32_bits(self):
+        largest = np.nextafter((2**32 - 0.5) / WEIGHT_SCALE, 0.0)
+        np.testing.assert_array_equal(quantize_weights(np.array([largest])), [2**32 - 1])
+
+    def test_negative_zero_is_zero(self):
+        np.testing.assert_array_equal(quantize_weights(np.array([-0.0, 1.0])), [0, WEIGHT_SCALE])
+
 
 class TestUniformAndStatic:
     def test_uniform_all_ones(self, tiny_graph):
         ctx = _context_for(tiny_graph, 0)
         np.testing.assert_array_equal(UniformWalk().dynamic_weights(ctx), [1, 1, 1])
+
+    def test_uniform_weights_allocate_nothing(self, tiny_graph):
+        weights = UniformWalk().dynamic_weights(_context_for(tiny_graph, 0))
+        assert weights.strides == (0,)
+        assert not weights.flags.writeable
 
     def test_static_returns_edge_weights(self, tiny_graph):
         ctx = _context_for(tiny_graph, 0)
@@ -141,6 +161,21 @@ class TestNode2Vec:
             Node2VecWalk(p=0)
         with pytest.raises(QueryError):
             Node2VecWalk(q=-1)
+
+    @pytest.mark.parametrize("p, q", [(0.5, 1.0), (2.0, 0.5)])
+    def test_scaled_weights_beyond_fixed_point_refused_before_walking(self, p, q):
+        # 1e7 is a valid static weight (< 2**24), but 1/p or 1/q = 2 scales
+        # it to 2e7, which the 32-bit fixed point cannot hold.
+        graph = from_edge_list(
+            np.array([[0, 1], [1, 0], [1, 2]]), num_vertices=3, weights=np.array([1e7, 1.0, 1.0])
+        )
+        with pytest.raises(QueryError, match="fixed-point"):
+            run_walks(graph, np.array([0, 1]), 3, Node2VecWalk(p, q), PWRSSampler(k=2))
+        fits = from_edge_list(
+            np.array([[0, 1], [1, 0], [1, 2]]), num_vertices=3, weights=np.array([8e6, 1.0, 1.0])
+        )
+        assert 2 * 8e6 < MAX_WEIGHT
+        run_walks(fits, np.array([0, 1]), 3, Node2VecWalk(p, q), PWRSSampler(k=2))
 
     def test_memory_profile_flags(self):
         walk = Node2VecWalk()
