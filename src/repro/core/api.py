@@ -252,8 +252,9 @@ class LightRW:
         algorithm:
             The GDRW weight-update function (MetaPathWalk, Node2VecWalk, ...).
             A :class:`~repro.walks.RestartWalk` runs a random walk with
-            restart (personalized PageRank); only backends declaring
-            ``supports_restart`` (the ``fpga-model`` built-in) accept it.
+            restart (personalized PageRank) through the same walk loop;
+            only backends declaring ``supports_restart`` (the
+            ``fpga-model`` built-in) accept it.
         n_steps:
             Steps per query (5 for MetaPath, 80 for Node2Vec in the paper).
         starts:

@@ -224,6 +224,8 @@ class LightRWAcceleratorSim:
         self, graph: CSRGraph, config: LightRWConfig, algorithm: WalkAlgorithm, seed: int = 0
     ) -> None:
         algorithm.validate_graph(graph)
+        if algorithm.restart_probability:
+            raise ConfigError("the cycle simulator does not model walks with restart")
         if not config.use_wrs:
             raise ConfigError(
                 "the cycle simulator models the streaming WRS pipeline only; "

@@ -479,7 +479,6 @@ class WeightUpdater(Module):
         self.k = config.k
         self.edge_fifo = edge_fifo
         self.weighted_fifo = weighted_fifo
-        self._edge_keys = graph.edge_keys() if algorithm.needs_edge_keys() else None
         self._task: StepTask | None = None
         self._items: np.ndarray | None = None
         self._weights: np.ndarray | None = None
@@ -488,15 +487,7 @@ class WeightUpdater(Module):
         self._stream_complete = False
 
     def _compute_weights(self, task: StepTask) -> None:
-        ctx = gather_step(
-            self.graph,
-            task.step,
-            np.array([task.vertex]),
-            np.array([task.prev]),
-            self.graph.col_index,
-            self.graph.edge_weights,
-            self._edge_keys,
-        )
+        ctx = gather_step(self.graph, task.step, np.array([task.vertex]), np.array([task.prev]))
         self._items = ctx.dst
         self._weights = quantize_weights(self.algorithm.dynamic_weights(ctx))
 

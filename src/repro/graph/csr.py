@@ -14,12 +14,18 @@ The layout mirrors what LightRW keeps in FPGA DRAM (Section 3.3):
 * ``vertex_labels`` / ``edge_labels`` — small-int labels used by MetaPath.
 
 Instances are cheap views over numpy arrays; nothing here copies per-vertex
-data on access.
+data on access.  The structural arrays (``row_index``, ``col_index``,
+``edge_weights`` and the derived degrees) are read-only: the walk kernel's
+hot-path copies of them — ``col_index64``, ``edge_weights64`` and the
+sorted :meth:`CSRGraph.edge_keys` — are staged once per graph, on first
+use, and a write into the graph could otherwise leave them stale.  Build a
+new graph to change its edges.  The staged arrays are never pickled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +43,16 @@ NEIGHBOR_INFO_BYTES = 8
 #: Exclusive upper bound of a static edge weight: the WRS sampler's 32-bit
 #: fixed point keeps 8 fractional bits (``repro.walks.base.WEIGHT_FRAC_BITS``).
 MAX_STATIC_WEIGHT = float(1 << 24)
+
+#: Cached attributes built from the graph's arrays on first use.
+_STAGED = ("col_index64", "edge_weights64", "_edge_keys")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` (the caller's array stays writeable)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -62,7 +78,21 @@ class CSRGraph:
         if self.edge_labels is not None:
             self.edge_labels = np.ascontiguousarray(self.edge_labels, dtype=np.int16)
         self.validate()
-        self._degrees = np.diff(self.row_index)
+        self._freeze()
+
+    def _freeze(self) -> None:
+        self.row_index = _read_only(self.row_index)
+        self.col_index = _read_only(self.col_index)
+        if self.edge_weights is not None:
+            self.edge_weights = _read_only(self.edge_weights)
+        self._degrees = _read_only(np.diff(self.row_index))
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in _STAGED}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._freeze()
 
     # -- shape -------------------------------------------------------------
 
@@ -123,6 +153,20 @@ class CSRGraph:
         pos = int(np.searchsorted(self.col_index[start:end], np.uint32(v)))
         return pos < end - start and int(self.col_index[start + pos]) == v
 
+    # -- staged hot-path arrays -------------------------------------------------
+
+    @cached_property
+    def col_index64(self) -> np.ndarray:
+        """``col_index`` as int64, the walk kernel's gather dtype."""
+        return _read_only(self.col_index.astype(np.int64))
+
+    @cached_property
+    def edge_weights64(self) -> np.ndarray | None:
+        """``edge_weights`` as float64 (None when the graph is unweighted)."""
+        if self.edge_weights is None:
+            return None
+        return _read_only(self.edge_weights.astype(np.float64))
+
     def edge_keys(self) -> np.ndarray:
         """All edges encoded as ``u * num_vertices + v``, globally sorted.
 
@@ -130,10 +174,14 @@ class CSRGraph:
         in vertex order, this array is fully sorted, which enables the
         vectorized membership test the Node2Vec weight updater relies on.
         """
-        sources = np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64), self._degrees
-        )
-        return sources * np.int64(self.num_vertices) + self.col_index.astype(np.int64)
+        return self._edge_keys
+
+    @cached_property
+    def _edge_keys(self) -> np.ndarray:
+        keys = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self._degrees)
+        keys *= np.int64(self.num_vertices)
+        keys += self.col_index64
+        return _read_only(keys)
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -289,31 +289,18 @@ class FPGAModelBackend(Backend):
     )
 
     def execute(self, plan: "ExecutionPlan", shard: "QueryShard") -> BackendReport:
-        from repro.walks.ppr import RestartWalk, run_restart_walks
         from repro.walks.stepper import PWRSSampler, run_walks
 
         ctx = self.context
         with span("walk", backend=self.name):
-            if isinstance(plan.algorithm, RestartWalk):
-                session = run_restart_walks(
-                    ctx.graph,
-                    shard.starts,
-                    plan.n_steps,
-                    alpha=plan.algorithm.alpha,
-                    k=ctx.config.k,
-                    seed=ctx.seed,
-                    query_ids=shard.query_ids(),
-                )
-            else:
-                sampler = PWRSSampler(k=ctx.config.k, seed=ctx.seed)
-                session = run_walks(
-                    ctx.graph,
-                    shard.starts,
-                    plan.n_steps,
-                    plan.algorithm,
-                    sampler,
-                    query_ids=shard.query_ids(),
-                )
+            session = run_walks(
+                ctx.graph,
+                shard.starts,
+                plan.n_steps,
+                plan.algorithm,
+                PWRSSampler(k=ctx.config.k, seed=ctx.seed),
+                query_ids=shard.query_ids(),
+            )
         return walked_report(self.name, session)
 
     def cost(

@@ -24,7 +24,7 @@ from repro.walks.base import (
 )
 from repro.walks.metapath import MetaPathWalk
 from repro.walks.node2vec import Node2VecWalk
-from repro.walks.ppr import RestartWalk, exact_ppr, run_restart_walks, visit_frequencies
+from repro.walks.ppr import RestartWalk, exact_ppr, visit_frequencies
 from repro.walks.static import StaticWalk
 from repro.walks.stepper import (
     InverseTransformSampler,
@@ -72,7 +72,6 @@ __all__ = [
     "exact_ppr",
     "exact_step_distribution",
     "quantize_weights",
-    "run_restart_walks",
     "run_walks",
     "total_variation_distance",
     "visit_frequencies",

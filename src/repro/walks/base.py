@@ -103,12 +103,6 @@ class StepContext:
     seg_starts: np.ndarray
     #: index of each edge within its query's segment (length = degrees.sum())
     within: np.ndarray
-    #: the graph's col_index / edge_weights, or int64 / float64 copies of
-    #: them; ``edge_weights=None`` means unit static weights
-    col_index: np.ndarray
-    edge_weights: np.ndarray | None
-    #: sorted u*|V|+v keys of the whole graph, for O(log E) membership tests
-    edge_keys_sorted: np.ndarray | None = None
 
     @property
     def n_edges(self) -> int:
@@ -125,21 +119,22 @@ class StepContext:
 
     @cached_property
     def edge_positions(self) -> np.ndarray:
-        """Index of each edge into ``graph.col_index``."""
+        """Index of each edge into the graph's edge arrays."""
         return np.repeat(self.graph.row_index[self.curr], self.degrees) + self.within
 
     @cached_property
     def dst(self) -> np.ndarray:
         """Destination vertex of each edge (int64)."""
-        return self.col_index[self.edge_positions].astype(np.int64, copy=False)
+        return self.graph.col_index64[self.edge_positions]
 
     @cached_property
     def static_weights(self) -> np.ndarray:
         """Static weight ``w*`` of each edge (float64; :func:`unit_weights`
         when unweighted)."""
-        if self.edge_weights is None:
+        weights = self.graph.edge_weights64
+        if weights is None:
             return unit_weights(self.n_edges)
-        return self.edge_weights[self.edge_positions].astype(np.float64, copy=False)
+        return weights[self.edge_positions]
 
     def prev_per_edge(self) -> np.ndarray:
         """Previous vertex of the owning query, broadcast per edge."""
@@ -152,7 +147,8 @@ class StepContext:
         """
         picked = np.full(chosen.shape, -1, dtype=np.int64)
         ok = chosen >= 0
-        picked[ok] = self.col_index[self.graph.row_index[self.curr[ok]] + chosen[ok]]
+        graph = self.graph
+        picked[ok] = graph.col_index64[graph.row_index[self.curr[ok]] + chosen[ok]]
         return picked
 
 
@@ -161,15 +157,12 @@ def gather_step(
     step: int,
     curr: np.ndarray,
     prev: np.ndarray,
-    col_index: np.ndarray,
-    edge_weights: np.ndarray | None,
-    edge_keys: np.ndarray | None = None,
 ) -> StepContext:
     """The :class:`StepContext` over every out-edge of each query's vertex.
 
-    ``col_index`` and ``edge_weights`` are the graph's arrays, or copies
-    staged once per run as int64 / float64 so that the per-step gather
-    converts nothing; ``edge_weights=None`` means unit weights.
+    Its per-edge fields gather from the graph's staged int64 / float64
+    arrays (``CSRGraph.col_index64``, ``CSRGraph.edge_weights64``), so a
+    step converts nothing.
     """
     curr = np.asarray(curr, dtype=np.int64)
     degrees = graph.degrees[curr]
@@ -186,9 +179,6 @@ def gather_step(
         degrees=degrees,
         seg_starts=seg_starts,
         within=within,
-        col_index=col_index,
-        edge_weights=edge_weights,
-        edge_keys_sorted=edge_keys,
     )
 
 
@@ -217,6 +207,11 @@ class WalkAlgorithm:
     #: Whether the graph must carry static edge weights.
     requires_edge_weights: bool = False
 
+    #: Per-step probability that a query returns to its start vertex instead
+    #: of sampling a neighbor (random walk with restart); see "Restart" in
+    #: :mod:`repro.walks.stepper`.
+    restart_probability: float = 0.0
+
     def dynamic_weights(self, ctx: StepContext) -> np.ndarray:
         """Return per-edge sampling weights (float64, non-negative).
 
@@ -224,10 +219,6 @@ class WalkAlgorithm:
         one returns :func:`unit_weights` and skips the allocation.
         """
         raise NotImplementedError
-
-    def needs_edge_keys(self) -> bool:
-        """Whether StepContext must be built with the sorted edge-key array."""
-        return self.needs_previous
 
     def validate_graph(self, graph: "CSRGraph") -> None:
         """Raise if the graph lacks attributes this algorithm requires."""

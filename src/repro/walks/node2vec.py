@@ -67,7 +67,7 @@ class Node2VecWalk(WalkAlgorithm):
         scale = np.ones(ctx.n_edges, dtype=np.float64)
         scale[is_return] = 1.0 / self.p
         scale[explore] = 1.0 / self.q
-        if ctx.edge_weights is None:  # w* = 1, and 1 * scale is exactly scale
+        if ctx.graph.edge_weights is None:  # w* = 1, and 1 * scale is exactly scale
             return scale
         return ctx.static_weights * scale
 
@@ -79,8 +79,8 @@ def connected_to_previous(ctx: StepContext) -> np.ndarray:
     """``(prev, dst) in E`` for every candidate edge of the step.
 
     Edges of a query without a previous vertex are ``False``.  Each query
-    is tested from its smaller side, in the sorted global edge keys of
-    ``ctx.edge_keys_sorted``:
+    is tested from its smaller side, in the graph's sorted global edge keys
+    (:meth:`~repro.graph.csr.CSRGraph.edge_keys`):
 
     * ``deg(prev) >= deg(curr)``: one search per candidate edge, for the
       key ``prev * |V| + dst``;
@@ -90,10 +90,8 @@ def connected_to_previous(ctx: StepContext) -> np.ndarray:
       (``[left, right)`` of the search; multigraphs repeat edges), and
       those candidates are marked connected.
     """
-    keys = ctx.edge_keys_sorted
-    if keys is None:
-        raise ValueError("StepContext was built without edge keys")
     graph = ctx.graph
+    keys = graph.edge_keys()
     n = np.int64(graph.num_vertices)
     prev = ctx.prev
     has_prev = prev >= 0
@@ -117,7 +115,7 @@ def connected_to_previous(ctx: StepContext) -> np.ndarray:
         np.cumsum(q_degrees[:-1], out=offsets[1:])
         positions = np.repeat(graph.row_index[q_prev] - offsets, q_degrees)
         positions += np.arange(positions.size, dtype=np.int64)
-        needles = np.repeat(q_curr * n, q_degrees) + graph.col_index[positions]
+        needles = np.repeat(q_curr * n, q_degrees) + graph.col_index64[positions]
         left = np.searchsorted(keys, needles, side="left")
         right = np.searchsorted(keys, needles, side="right")
         hit = right > left

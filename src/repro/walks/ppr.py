@@ -6,12 +6,14 @@ analysis: at every step the walker either restarts at its source vertex
 the static edge weight.  The visit frequencies of such walks converge to
 personalized PageRank scores.
 
-Restart composes with the GDRW machinery rather than replacing it: the
-neighbor choice is the ordinary weighted selection (the same parallel WRS
-lanes every other walk uses, so the FPGA timing models replay the trace
-unchanged), and the restart coin is one extra decorrelated lane per query
-per step — hardware-wise a single extra comparison in the Query
-Controller.
+Restart composes with the GDRW machinery rather than replacing it:
+:class:`RestartWalk` is an ordinary walk algorithm whose weights are the
+static ones, and the stepper's one walk loop flips the restart coin before
+the neighbor choice (see "Restart" in :mod:`repro.walks.stepper`).  The
+neighbor choice is the ordinary weighted selection, on the same parallel
+WRS lanes every other walk uses, so the FPGA timing models replay the
+trace unchanged.  The coin is one extra decorrelated lane per query per
+step — hardware-wise a single extra comparison in the Query Controller.
 """
 
 from __future__ import annotations
@@ -20,25 +22,19 @@ import numpy as np
 
 from repro.errors import QueryError
 from repro.graph.csr import CSRGraph
-from repro.sampling.rng import derive_seed
-from repro.walks.base import StepContext, WalkAlgorithm, gather_step
-from repro.walks.stepper import (
-    PWRSSampler,
-    StepRecord,
-    WalkSession,
-    _lane_uint32,
-    _query_lane_keys,
-)
+from repro.walks.base import StepContext, WalkAlgorithm
 
 
 class RestartWalk(WalkAlgorithm):
     """Weighted walk with per-step restart probability ``alpha``.
 
-    The neighbor choice samples the static weights (``w^t = w*``) and the
-    restart coin is flipped before it, both inside
-    :func:`run_restart_walks`, which is the only stepper for this walk:
-    run it with ``LightRW.run(RestartWalk(alpha), n_steps)`` on a backend
-    that declares ``supports_restart``.
+    Each step restarts at the query's start vertex with probability
+    ``alpha`` and otherwise samples the static weights (``w^t = w*``).
+    Run it like any walk: ``LightRW.run(RestartWalk(alpha), n_steps)`` on a
+    backend that declares ``supports_restart``, or
+    ``run_walks(graph, starts, n_steps, RestartWalk(alpha), sampler)``.
+    Restarts appear in the paths, and a restarted step is recorded with
+    degree 0: it decides before any memory access is issued.
     """
 
     name = "restart"
@@ -48,121 +44,12 @@ class RestartWalk(WalkAlgorithm):
             raise QueryError(f"restart probability must be in [0, 1), got {alpha}")
         self.alpha = float(alpha)
 
+    @property
+    def restart_probability(self) -> float:
+        return self.alpha
+
     def dynamic_weights(self, ctx: StepContext) -> np.ndarray:
-        # The generic steppers would walk this without ever restarting.
-        raise QueryError(
-            "RestartWalk is stepped by run_restart_walks, which applies the "
-            "restart; a generic stepper cannot run it"
-        )
-
-
-def run_restart_walks(
-    graph: CSRGraph,
-    starts: np.ndarray,
-    n_steps: int,
-    alpha: float = 0.15,
-    k: int = 16,
-    seed: int = 0,
-    query_ids: np.ndarray | None = None,
-) -> WalkSession:
-    """Walk every query ``n_steps`` steps with restart probability ``alpha``.
-
-    Teleports appear in the paths (the walker really is at its source
-    after a restart), and the recorded trace charges each step the work
-    the hardware performs: a restart step decides before any memory access
-    is issued, so it contributes a zero-degree record entry.
-
-    ``query_ids`` are the global ids that key per-query randomness
-    (default ``arange``); sharded execution passes each shard's ids so
-    restart walks are shard-invariant too.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    algorithm = RestartWalk(alpha)
-    algorithm.validate_graph(graph)
-    n_queries = starts.size
-    if query_ids is None:
-        query_ids = np.arange(n_queries, dtype=np.int64)
-    else:
-        query_ids = np.asarray(query_ids, dtype=np.int64)
-
-    sampler = PWRSSampler(k=k, seed=seed)
-    sampler.attach(n_queries, query_ids)
-    coin_keys = _query_lane_keys(derive_seed(seed, 0x9E57A97), query_ids, 1)[:, 0]
-    coin_counters = np.zeros(n_queries, dtype=np.uint64)
-
-    degrees = graph.degrees
-    col64 = graph.col_index.astype(np.int64)
-    weights64 = (
-        graph.edge_weights.astype(np.float64)
-        if graph.edge_weights is not None
-        else None
-    )
-
-    paths = np.full((n_queries, n_steps + 1), -1, dtype=np.int64)
-    paths[:, 0] = starts
-    lengths = np.zeros(n_queries, dtype=np.int64)
-    curr = starts.copy()
-    alive = degrees[starts] > 0
-    records: list[StepRecord] = []
-
-    for step in range(n_steps):
-        active = np.nonzero(alive)[0]
-        if active.size == 0:
-            break
-        coins = (
-            _lane_uint32(coin_counters[active], coin_keys[active]).astype(np.float64)
-            / float(1 << 32)
-        )
-        coin_counters[active] += np.uint64(1)
-        restart = coins < alpha
-
-        next_vertices = np.full(active.size, -1, dtype=np.int64)
-        next_vertices[restart] = starts[active[restart]]
-
-        walkers = active[~restart]
-        if walkers.size:
-            ctx = gather_step(
-                graph,
-                step,
-                curr[walkers],
-                np.full(walkers.size, -1, dtype=np.int64),
-                col64,
-                weights64,
-            )
-            chosen = sampler.select(ctx, ctx.static_weights, walkers)
-            next_vertices[~restart] = ctx.next_vertices(chosen)
-
-        # Trace: restart steps cost no memory traffic (degree recorded 0).
-        step_degrees = np.where(restart, 0, degrees[curr[active]])
-        records.append(
-            StepRecord(
-                step=step,
-                query_ids=active.copy(),
-                curr=curr[active].copy(),
-                degrees=step_degrees.astype(np.int64),
-                prev=np.full(active.size, -1, dtype=np.int64),
-                prev_degrees=np.zeros(active.size, dtype=np.int64),
-                next_vertex=next_vertices.copy(),
-            )
-        )
-
-        moved = next_vertices >= 0
-        targets = active[moved]
-        curr[targets] = next_vertices[moved]
-        paths[targets, step + 1] = next_vertices[moved]
-        lengths[targets] = step + 1
-        alive[active[~moved]] = False
-        alive[targets] = degrees[curr[targets]] > 0
-
-    return WalkSession(
-        graph=graph,
-        algorithm=algorithm.name,
-        sampler=sampler.name,
-        starts=starts,
-        paths=paths,
-        lengths=lengths,
-        records=records,
-    )
+        return ctx.static_weights
 
 
 def visit_frequencies(paths: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -186,11 +73,9 @@ def exact_ppr(
     n = graph.num_vertices
     if not 0 <= source < n:
         raise QueryError(f"source {source} out of range")
-    weights = (
-        graph.edge_weights.astype(np.float64)
-        if graph.edge_weights is not None
-        else np.ones(graph.num_edges, dtype=np.float64)
-    )
+    weights = graph.edge_weights64
+    if weights is None:
+        weights = np.ones(graph.num_edges, dtype=np.float64)
     sources = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
     out_weight = np.zeros(n)
     np.add.at(out_weight, sources, weights)
@@ -201,7 +86,7 @@ def exact_ppr(
     for _ in range(iterations):
         flow = np.where(out_weight[sources] > 0, probability[sources] * weights / out_weight[sources], 0.0)
         spread = np.zeros(n)
-        np.add.at(spread, graph.col_index.astype(np.int64), flow)
+        np.add.at(spread, graph.col_index64, flow)
         dangling = probability[out_weight == 0].sum()
         probability = alpha * restart_vector + (1 - alpha) * (spread + dangling * restart_vector)
     return probability

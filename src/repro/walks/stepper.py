@@ -64,6 +64,18 @@ cumulative sum or segment-base subtraction.  Those are the integers the
 generic path computes from an explicit array of the same value, so the
 walks are the same.
 
+Restart
+-------
+An algorithm with a nonzero ``restart_probability`` (``RestartWalk``, the
+personalized-PageRank walk) is walked by the same loop.  Each step first
+flips one restart coin per walkable active query, before blocking: a
+32-bit draw from one extra lane per query (keyed by
+``derive_seed(seed, 0x9E57A97)``, one counter per query) compared against
+the probability.  A restarted query moves to its start vertex; only the
+others are blocked, weighted and sampled, so a restart consumes no
+sampler lane.  A restarted row is recorded with ``degrees = 0``: the
+hardware decides before it issues any memory access.
+
 Per-query randomness
 --------------------
 Each query ``q`` draws from its own lane family, keyed by
@@ -87,6 +99,9 @@ from repro.sampling.rng import ThundeRingRNG, derive_seed, splitmix64, splitmix6
 from repro.walks.base import StepContext, WalkAlgorithm, gather_step, quantize_weights
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+#: Mixed into the sampler seed to key the restart-coin lanes.
+_RESTART_SALT = 0x9E57A97
 
 #: Edge budget of one step block (see "Step blocks" above).
 STEP_BLOCK_EDGES = 1 << 16
@@ -228,7 +243,7 @@ class InverseTransformSampler:
         if self._keys is None or self._counters is None:
             raise ConfigError("sampler not attached; call attach() first")
         weights = np.asarray(weights, dtype=np.float64)
-        degrees = ctx.degrees.astype(np.int64)
+        degrees = ctx.degrees
         seg_starts = ctx.seg_starts
 
         global_cdf = np.cumsum(weights)
@@ -348,13 +363,11 @@ def run_walks(
     alive = np.ones(n_queries, dtype=bool)
     records: list[StepRecord] = []
 
-    edge_keys = graph.edge_keys() if algorithm.needs_edge_keys() else None
     all_degrees = graph.degrees
-    # Hot-path dtype staging: one conversion per run instead of one per step.
-    col_index64 = graph.col_index.astype(np.int64)
-    edge_weights64 = (
-        graph.edge_weights.astype(np.float64) if graph.edge_weights is not None else None
-    )
+    alpha = algorithm.restart_probability
+    if alpha:
+        coin_keys = _query_lane_keys(derive_seed(sampler.seed, _RESTART_SALT), query_ids, 1)[:, 0]
+        coin_counters = np.zeros(n_queries, dtype=np.uint64)
 
     for step in range(n_steps):
         active = np.nonzero(alive)[0]
@@ -374,24 +387,18 @@ def run_walks(
         a_prev = prev[active]
 
         next_vertices = np.empty(active.size, dtype=np.int64)
-        edge_ends = np.cumsum(a_deg)
-        lo = 0
-        while lo < active.size:
-            budget_end = (edge_ends[lo - 1] if lo else 0) + STEP_BLOCK_EDGES
-            hi = max(int(np.searchsorted(edge_ends, budget_end, side="right")), lo + 1)
-            block = slice(lo, hi)
-            ctx = gather_step(
-                graph,
-                step,
-                a_curr[block],
-                a_prev[block],
-                col_index64,
-                edge_weights64,
-                edge_keys,
-            )
-            chosen = sampler.select(ctx, algorithm.dynamic_weights(ctx), active[block])
-            next_vertices[block] = ctx.next_vertices(chosen)
-            lo = hi
+        walk = slice(None)
+        step_degrees = a_deg
+        if alpha:
+            coins = _lane_uint32(coin_counters[active], coin_keys[active])
+            coin_counters[active] += np.uint64(1)
+            restart = coins.astype(np.float64) / float(1 << 32) < alpha
+            next_vertices[restart] = starts[active[restart]]
+            step_degrees = np.where(restart, 0, a_deg)
+            walk = ~restart
+        next_vertices[walk] = _sample_step(
+            graph, step, algorithm, sampler, active[walk], a_curr[walk], a_prev[walk], a_deg[walk]
+        )
         sampled = next_vertices >= 0
 
         if record_trace:
@@ -400,7 +407,7 @@ def run_walks(
                     step=step,
                     query_ids=active.copy(),
                     curr=a_curr.copy(),
-                    degrees=a_deg,
+                    degrees=step_degrees,
                     prev=a_prev,
                     prev_degrees=np.where(a_prev >= 0, all_degrees[np.maximum(a_prev, 0)], 0),
                     next_vertex=next_vertices,
@@ -425,6 +432,32 @@ def run_walks(
     )
 
 
+def _sample_step(
+    graph: CSRGraph,
+    step: int,
+    algorithm: WalkAlgorithm,
+    sampler: PWRSSampler | InverseTransformSampler,
+    active: np.ndarray,
+    curr: np.ndarray,
+    prev: np.ndarray,
+    degrees: np.ndarray,
+) -> np.ndarray:
+    """Sampled next vertex (``-1`` on a dead end) of each query, walking
+    the step in blocks of about :data:`STEP_BLOCK_EDGES` candidate edges."""
+    next_vertices = np.empty(active.size, dtype=np.int64)
+    edge_ends = np.cumsum(degrees)
+    lo = 0
+    while lo < active.size:
+        budget_end = (edge_ends[lo - 1] if lo else 0) + STEP_BLOCK_EDGES
+        hi = max(int(np.searchsorted(edge_ends, budget_end, side="right")), lo + 1)
+        block = slice(lo, hi)
+        ctx = gather_step(graph, step, curr[block], prev[block])
+        chosen = sampler.select(ctx, algorithm.dynamic_weights(ctx), active[block])
+        next_vertices[block] = ctx.next_vertices(chosen)
+        lo = hi
+    return next_vertices
+
+
 def walk_single_query(
     graph: CSRGraph,
     start: int,
@@ -442,10 +475,15 @@ def walk_single_query(
     reproduces this path bit-for-bit — the equivalence test anchoring the
     vectorized engine to Algorithm 4.1.
     """
+    if not 0 <= start < graph.num_vertices:
+        raise QueryError("start vertex out of range")
+    if n_steps < 0:
+        raise QueryError(f"n_steps must be non-negative, got {n_steps}")
+    if algorithm.restart_probability:
+        raise QueryError("walk_single_query does not model restart; use run_walks")
     algorithm.validate_graph(graph)
     rng = ThundeRingRNG(k, derive_seed(seed, query_id))
     sampler = ParallelWRS(k, rng)
-    edge_keys = graph.edge_keys() if algorithm.needs_edge_keys() else None
     path = [int(start)]
     curr = int(start)
     prev = -1
@@ -453,15 +491,7 @@ def walk_single_query(
         degree = graph.degree(curr)
         if degree == 0:
             break
-        ctx = gather_step(
-            graph,
-            step,
-            np.array([curr]),
-            np.array([prev]),
-            graph.col_index,
-            graph.edge_weights,
-            edge_keys,
-        )
+        ctx = gather_step(graph, step, np.array([curr]), np.array([prev]))
         dst = ctx.dst
         weights = quantize_weights(algorithm.dynamic_weights(ctx))
         sampler.reset()

@@ -40,15 +40,7 @@ def exact_step_distribution(
     out = np.zeros(graph.num_vertices, dtype=np.float64)
     if graph.degree(vertex) == 0:
         return out
-    ctx = gather_step(
-        graph,
-        step,
-        np.array([vertex]),
-        np.array([prev]),
-        graph.col_index,
-        graph.edge_weights,
-        graph.edge_keys() if algorithm.needs_edge_keys() else None,
-    )
+    ctx = gather_step(graph, step, np.array([vertex]), np.array([prev]))
     weights = algorithm.dynamic_weights(ctx)
     total = weights.sum()
     if total <= 0:

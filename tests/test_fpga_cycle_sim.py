@@ -273,6 +273,15 @@ def test_cycle_sim_rejects_table_ablation(labeled_graph):
         LightRWAcceleratorSim(labeled_graph, config, UniformWalk())
 
 
+def test_cycle_sim_rejects_restart(labeled_graph):
+    """The simulated pipeline has no restart coin; it refuses the walk."""
+    from repro.errors import ConfigError
+    from repro.walks.ppr import RestartWalk
+
+    with pytest.raises(ConfigError, match="restart"):
+        LightRWAcceleratorSim(labeled_graph, LightRWConfig(), RestartWalk(0.3))
+
+
 class TestPlannerConsistency:
     """The cycle sim's Burst cmd Generator and the analytic planner must
     agree on burst counts and byte totals for any degree."""

@@ -22,7 +22,8 @@ from repro.graph.generators import chung_lu_graph
 from repro.graph.labels import assign_random_weights
 from repro.runtime import EXECUTION_MODES
 from repro.walks.node2vec import Node2VecWalk
-from repro.walks.ppr import RestartWalk, run_restart_walks
+from repro.walks.ppr import RestartWalk
+from repro.walks.stepper import PWRSSampler, run_walks
 from tests.helpers import assert_same, assert_same_result, modeled_metrics
 
 SHARDS = st.sampled_from([1, 2, 4, 16])
@@ -91,7 +92,7 @@ def test_restart_runs_match_one_sequential_shard(mode, shards, seed, alpha):
 @pytest.mark.parametrize("mode", EXECUTION_MODES)
 @pytest.mark.parametrize("shards", [1, 4])
 def test_restart_run_matches_direct_reference(mode, shards):
-    """``run(RestartWalk(a))`` is the restart stepper plus one cost model."""
+    """``run(RestartWalk(a))`` is ``run_walks`` plus one cost model."""
     alpha, n_steps, seed = 0.4, 8, 5
     engine = LightRW(_graph(), hardware_scale=64, seed=seed)
     starts = make_queries(engine.graph, n_queries=120, seed=seed)
@@ -101,8 +102,8 @@ def test_restart_run_matches_direct_reference(mode, shards):
     )
 
     sampled, total = sample_queries(starts, 40, seed=seed)
-    session = run_restart_walks(
-        engine.graph, sampled, n_steps, alpha=alpha, k=engine.config.k, seed=seed
+    session = run_walks(
+        engine.graph, sampled, n_steps, RestartWalk(alpha), PWRSSampler(engine.config.k, seed)
     )
     native = FPGAPerfModel(engine.config, RestartWalk(alpha)).evaluate(
         session, total_queries=total, record_latency=True

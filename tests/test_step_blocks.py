@@ -6,7 +6,7 @@ whose degree exceeds the smaller edge budgets:
 * the smaller-side membership test equals brute-force ``has_edge`` for
   every candidate edge, whichever side each query searches from;
 * ``run_walks`` returns the same paths, lengths and step records whatever
-  the step block budget;
+  the step block budget, restart walks included;
 * Node2Vec rows of ``run_walks`` equal the scalar ``walk_single_query``;
 * the constant-weight PWRS path (a stride-0 weight view, as
   :class:`UniformWalk` returns) equals the generic path fed an explicit
@@ -16,6 +16,8 @@ whose degree exceeds the smaller edge budgets:
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.walks import stepper
 from repro.walks.base import StepContext, gather_step
 from repro.walks.metapath import MetaPathWalk
 from repro.walks.node2vec import Node2VecWalk, connected_to_previous
+from repro.walks.ppr import RestartWalk
 from repro.walks.stepper import (
     InverseTransformSampler,
     PWRSSampler,
@@ -69,9 +72,7 @@ def test_smaller_side_membership_matches_has_edge(graph, pairs):
     pairs += [(v, u) for u, v in pairs if v >= 0]
     curr = np.array([u for u, _ in pairs])
     prev = np.array([v for _, v in pairs])
-    ctx = gather_step(
-        graph, 1, curr, prev, graph.col_index, graph.edge_weights, graph.edge_keys()
-    )
+    ctx = gather_step(graph, 1, curr, prev)
     owners = prev[ctx.edge_query]
     expected = [u >= 0 and graph.has_edge(u, v) for u, v in zip(owners, ctx.dst)]
     np.testing.assert_array_equal(connected_to_previous(ctx), expected)
@@ -91,6 +92,7 @@ CASES = {
         lambda: Node2VecWalk(2.0, 0.5),
         lambda k, seed: InverseTransformSampler(seed=seed),
     ),
+    "restart": (lambda: RestartWalk(0.3), lambda k, seed: PWRSSampler(k=k, seed=seed)),
 }
 
 
@@ -209,8 +211,9 @@ def test_constant_weight_path_matches_explicit_array(graph, starts, n_steps, k, 
 @settings(max_examples=80, deadline=None)
 def test_lazy_fields_equal_their_definitions(graph, curr, weighted):
     curr = np.array(curr) % graph.num_vertices
-    weights = graph.edge_weights if weighted else None
-    ctx = gather_step(graph, 0, curr, np.full(curr.size, -1), graph.col_index, weights)
+    if not weighted:
+        graph = dataclasses.replace(graph, edge_weights=None)
+    ctx = gather_step(graph, 0, curr, np.full(curr.size, -1))
     owner, within, positions = [], [], []
     for j, v in enumerate(curr.tolist()):
         for i in range(graph.degree(v)):

@@ -13,6 +13,7 @@ from repro.graph.generators import chung_lu_graph, path_graph, star_graph
 from repro.graph.labels import assign_vertex_labels
 from repro.walks.metapath import MetaPathWalk
 from repro.walks.node2vec import Node2VecWalk
+from repro.walks.ppr import RestartWalk
 from repro.walks.stepper import (
     InverseTransformSampler,
     PWRSSampler,
@@ -186,6 +187,23 @@ class TestValidationErrors:
     def test_negative_steps(self, labeled_graph):
         with pytest.raises(QueryError):
             run_walks(labeled_graph, np.array([0]), -1, UniformWalk(), PWRSSampler(4, 0))
+
+    def test_scalar_reference_checks_inputs(self, labeled_graph):
+        for start in (-1, labeled_graph.num_vertices):
+            with pytest.raises(QueryError, match="out of range"):
+                walk_single_query(labeled_graph, start, 5, UniformWalk(), 16, 0)
+        with pytest.raises(QueryError, match="n_steps"):
+            walk_single_query(labeled_graph, 0, -2, UniformWalk(), 16, 0)
+
+    def test_restart_walks_check_inputs(self, labeled_graph):
+        walk = RestartWalk(0.2)
+        with pytest.raises(QueryError, match="out of range"):
+            run_walks(labeled_graph, np.array([-1, 3]), 5, walk, PWRSSampler(16, 0))
+        with pytest.raises(QueryError, match="n_steps"):
+            run_walks(labeled_graph, np.array([0, 3]), -2, walk, PWRSSampler(16, 0))
+        # The scalar reference has no restart coin, so it refuses the walk.
+        with pytest.raises(QueryError, match="restart"):
+            walk_single_query(labeled_graph, 0, 5, walk, 16, 0)
 
     def test_sampler_requires_attach(self, labeled_graph):
         from repro.errors import ConfigError

@@ -1,11 +1,15 @@
 """Golden digests of whole walk sessions.
 
 SHA-256 over the ``paths``, ``lengths`` and every :class:`StepRecord` of
-four seeded RMAT-10 batches — one per sampler path the walk kernel has:
-uniform (unit weights), Node2Vec and MetaPath on PWRS, and Node2Vec on the
-inverse-transform sampler.  Any change to a walk, a lane draw or a trace
-field moves a digest; a change that means to do so must say so and
-re-pin the constant.
+five seeded RMAT-10 batches — one per sampler path the walk kernel has:
+uniform (unit weights), Node2Vec and MetaPath on PWRS, Node2Vec on the
+inverse-transform sampler, and the restart walk on PWRS.  Any change to a
+walk, a lane draw or a trace field moves a digest; a change that means to
+do so must say so and re-pin the constant.
+
+The restart digest leaves out ``prev`` and ``prev_degrees``: it was pinned
+when restart walks had a stepper of their own, which recorded no previous
+vertex, and the cost models read those fields only for second-order walks.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ from repro.walks import (
     MetaPathWalk,
     Node2VecWalk,
     PWRSSampler,
+    RestartWalk,
     UniformWalk,
     run_walks,
 )
 
 RECORD_FIELDS = ("query_ids", "curr", "degrees", "prev", "prev_degrees", "next_vertex")
+FIRST_ORDER_FIELDS = ("query_ids", "curr", "degrees", "next_vertex")
 
 SHAPES = {
     "uniform-pwrs": (UniformWalk, lambda: PWRSSampler(k=16, seed=11)),
@@ -37,6 +43,7 @@ SHAPES = {
         lambda: Node2VecWalk(2.0, 0.5),
         lambda: InverseTransformSampler(seed=11),
     ),
+    "restart-pwrs": (lambda: RestartWalk(0.3), lambda: PWRSSampler(k=16, seed=11)),
 }
 
 DIGESTS = {
@@ -46,10 +53,11 @@ DIGESTS = {
     "node2vec-inverse-transform": (
         "8f78fe351ffb57f2ee0fd623d4d56335c9f457b231a4d45f862c5ba6128b5b83"
     ),
+    "restart-pwrs": "a3c15b1cdde9e663b07abde54f64ed321701e5431d7abb8814203b03f0671d38",
 }
 
 
-def session_digest(session) -> str:
+def session_digest(session, fields=RECORD_FIELDS) -> str:
     """SHA-256 of a session's paths, lengths and step records."""
     h = hashlib.sha256()
 
@@ -62,7 +70,7 @@ def session_digest(session) -> str:
     feed(session.lengths)
     for record in session.records:
         h.update(f"step {record.step}".encode())
-        for name in RECORD_FIELDS:
+        for name in fields:
             feed(getattr(record, name))
     return h.hexdigest()
 
@@ -79,4 +87,5 @@ def test_session_digest_is_pinned(graph, shape):
     make_algorithm, make_sampler = SHAPES[shape]
     starts = make_queries(graph, n_queries=512, seed=3)
     session = run_walks(graph, starts, 20, make_algorithm(), make_sampler())
-    assert session_digest(session) == DIGESTS[shape]
+    fields = FIRST_ORDER_FIELDS if shape == "restart-pwrs" else RECORD_FIELDS
+    assert session_digest(session, fields) == DIGESTS[shape]

@@ -18,15 +18,7 @@ from repro.walks.uniform import UniformWalk
 
 def _context_for(graph, vertex, prev=-1, step=0):
     """Single-query StepContext over all of ``vertex``'s out-edges."""
-    return gather_step(
-        graph,
-        step,
-        np.array([vertex]),
-        np.array([prev]),
-        graph.col_index,
-        graph.edge_weights,
-        graph.edge_keys(),
-    )
+    return gather_step(graph, step, np.array([vertex]), np.array([prev]))
 
 
 class TestQuantize:
@@ -190,15 +182,7 @@ class TestEdgesExist:
         # deg(prev) < deg(curr) searches N(prev); otherwise each candidate.
         curr = np.array([0, 0, 3, 2, 0, 3, 1])
         prev = np.array([3, 1, 0, 1, -1, 4, 2])
-        ctx = gather_step(
-            tiny_graph,
-            1,
-            curr,
-            prev,
-            tiny_graph.col_index,
-            tiny_graph.edge_weights,
-            tiny_graph.edge_keys(),
-        )
+        ctx = gather_step(tiny_graph, 1, curr, prev)
         owners = prev[ctx.edge_query]
         expected = np.array(
             [u >= 0 and tiny_graph.has_edge(u, v) for u, v in zip(owners, ctx.dst)]
@@ -206,7 +190,11 @@ class TestEdgesExist:
         np.testing.assert_array_equal(connected_to_previous(ctx), expected)
 
     def test_requires_edge_keys(self, tiny_graph):
+        """The membership test reads the graph's edge keys, staged once."""
         ctx = _context_for(tiny_graph, 0, prev=3)
-        ctx.edge_keys_sorted = None
-        with pytest.raises(ValueError, match="edge keys"):
-            connected_to_previous(ctx)
+        keys = tiny_graph.edge_keys()
+        assert tiny_graph.edge_keys() is keys
+        connected = connected_to_previous(ctx)
+        assert tiny_graph.edge_keys() is keys
+        expected = [tiny_graph.has_edge(3, int(v)) for v in ctx.dst]
+        np.testing.assert_array_equal(connected, expected)

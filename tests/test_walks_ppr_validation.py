@@ -9,12 +9,7 @@ from repro.errors import QueryError
 from repro.graph.generators import chung_lu_graph, cycle_graph, star_graph
 from repro.graph.labels import assign_random_weights
 from repro.walks.node2vec import Node2VecWalk
-from repro.walks.ppr import (
-    RestartWalk,
-    exact_ppr,
-    run_restart_walks,
-    visit_frequencies,
-)
+from repro.walks.ppr import RestartWalk, exact_ppr, visit_frequencies
 from repro.walks.static import StaticWalk
 from repro.walks.stepper import PWRSSampler, run_walks
 from repro.walks.uniform import UniformWalk
@@ -26,6 +21,10 @@ from repro.walks.validation import (
 )
 
 
+def _restart_walks(graph, starts, n_steps, alpha, seed, k=16):
+    return run_walks(graph, starts, n_steps, RestartWalk(alpha), PWRSSampler(k, seed))
+
+
 class TestRestartWalk:
     def test_invalid_alpha(self):
         with pytest.raises(QueryError):
@@ -33,17 +32,10 @@ class TestRestartWalk:
         with pytest.raises(QueryError):
             RestartWalk(alpha=-0.1)
 
-    def test_generic_stepper_refuses_restart_walk(self):
-        """Only run_restart_walks applies the restart; nothing walks it without."""
-        graph = cycle_graph(8)
-        starts = np.zeros(4, dtype=np.int64)
-        with pytest.raises(QueryError, match="run_restart_walks"):
-            run_walks(graph, starts, 3, RestartWalk(0.5), PWRSSampler(seed=1))
-
     def test_alpha_zero_never_teleports(self):
         graph = cycle_graph(8)
         starts = np.zeros(16, dtype=np.int64)
-        session = run_restart_walks(graph, starts, 10, alpha=0.0, seed=1)
+        session = _restart_walks(graph, starts, 10, alpha=0.0, seed=1)
         # On a directed cycle with no restarts every path is deterministic.
         for q in range(16):
             np.testing.assert_array_equal(
@@ -53,7 +45,7 @@ class TestRestartWalk:
     def test_alpha_high_teleports_often(self):
         graph = cycle_graph(8)
         starts = np.zeros(64, dtype=np.int64)
-        session = run_restart_walks(graph, starts, 20, alpha=0.8, seed=2)
+        session = _restart_walks(graph, starts, 20, alpha=0.8, seed=2)
         # Most visited vertices are the source.
         freq = visit_frequencies(session.paths, 8)
         assert freq[0] > 0.5
@@ -61,7 +53,7 @@ class TestRestartWalk:
     def test_paths_valid_edges_or_teleports(self):
         graph = chung_lu_graph(128, avg_degree=6, seed=3, directed=False)
         starts = graph.nonzero_degree_vertices()[:32]
-        session = run_restart_walks(graph, starts, 12, alpha=0.2, seed=3)
+        session = _restart_walks(graph, starts, 12, alpha=0.2, seed=3)
         for q in range(starts.size):
             path = session.path(q)
             for u, v in zip(path[:-1], path[1:]):
@@ -69,15 +61,15 @@ class TestRestartWalk:
 
     def test_trace_records_zero_degree_on_restart(self):
         graph = cycle_graph(4)
-        session = run_restart_walks(graph, np.zeros(8, dtype=np.int64), 6, 0.9, seed=5)
+        session = _restart_walks(graph, np.zeros(8, dtype=np.int64), 6, 0.9, seed=5)
         degrees = np.concatenate([r.degrees for r in session.records])
         assert (degrees == 0).any()  # restarts recorded as free steps
 
     def test_deterministic(self):
         graph = chung_lu_graph(64, avg_degree=5, seed=1, directed=False)
         starts = graph.nonzero_degree_vertices()[:10]
-        a = run_restart_walks(graph, starts, 8, 0.3, seed=9)
-        b = run_restart_walks(graph, starts, 8, 0.3, seed=9)
+        a = _restart_walks(graph, starts, 8, 0.3, seed=9)
+        b = _restart_walks(graph, starts, 8, 0.3, seed=9)
         np.testing.assert_array_equal(a.paths, b.paths)
 
 
@@ -93,7 +85,7 @@ class TestExactPPR:
         graph = chung_lu_graph(96, avg_degree=6, seed=4, directed=False)
         source = int(graph.nonzero_degree_vertices()[0])
         starts = np.full(600, source, dtype=np.int64)
-        session = run_restart_walks(graph, starts, 40, alpha=0.2, seed=6)
+        session = _restart_walks(graph, starts, 40, alpha=0.2, seed=6)
         estimate = visit_frequencies(session.paths, graph.num_vertices)
         exact = exact_ppr(graph, source, alpha=0.2)
         assert np.corrcoef(estimate, exact)[0, 1] > 0.95
