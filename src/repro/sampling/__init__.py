@@ -10,12 +10,10 @@ This package collects every sampling primitive the paper touches:
   parallelized WRS that consumes ``k`` items per cycle, including the
   integer-only comparison of Equation (8).
 * :mod:`repro.sampling.inverse_transform` — the two-phase
-  initialization/generation sampler ThunderRW is configured with.
-* :mod:`repro.sampling.alias` — Walker's alias method, the other classic
-  table-based sampler referenced as a baseline.
+  initialization/generation sampler ThunderRW is configured with, on the
+  same fixed-point weights and 32-bit draws as the parallel WRS.
 """
 
-from repro.sampling.alias import AliasTable
 from repro.sampling.inverse_transform import InverseTransformTable
 from repro.sampling.parallel_wrs import ParallelWRS, integer_accept, parallel_wrs_sample
 from repro.sampling.reservoir import reservoir_sample, reservoir_sample_stream
@@ -23,7 +21,6 @@ from repro.sampling.rng import ThundeRingRNG, XorShift128Plus, derive_seed, spli
 from repro.sampling.stattests import BatteryResult, run_battery
 
 __all__ = [
-    "AliasTable",
     "BatteryResult",
     "InverseTransformTable",
     "ParallelWRS",

@@ -13,7 +13,13 @@ Sampler strategies
   math is **bit-identical** to driving one :class:`repro.sampling.ParallelWRS`
   instance per query (the cycle simulator's path); tests assert this.
 * :class:`InverseTransformSampler` — ThunderRW's configured method: one
-  uniform per step, binary search in the per-step CDF table.
+  32-bit draw per step, binary search in the per-step CDF table.  The
+  table is the integer prefix sum of the same fixed-point weights PWRS
+  compares, and the target is ``floor(r* T / 2^32)`` for a segment total
+  ``T``, so both samplers read weights only through
+  :func:`~repro.walks.base.quantize_weights` (and refuse the same
+  weights).  Its scalar reference is
+  :class:`repro.sampling.InverseTransformTable`.
 
 Step blocks
 -----------
@@ -27,9 +33,8 @@ the step's arrays; the step still yields one :class:`StepRecord`.  The
 block's per-edge arrays stay in cache instead of streaming a whole step's
 worth of temporaries through memory.  Blocking never changes a walk: each
 query's weights, lane draws and counters depend only on that query, and
-PWRS prefix sums are exact integers.  (The inverse-transform CDF is a
-float prefix sum, so its draws are layout-independent to the extent that
-sum is exact, as across shard layouts.)
+both samplers' prefix sums are exact integers, so a segment's draw does
+not depend on what else shares its block (or its shard).
 
 Lazy per-edge fields
 --------------------
@@ -99,6 +104,8 @@ from repro.sampling.rng import ThundeRingRNG, derive_seed, splitmix64, splitmix6
 from repro.walks.base import StepContext, WalkAlgorithm, gather_step, quantize_weights
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 #: Mixed into the sampler seed to key the restart-coin lanes.
 _RESTART_SALT = 0x9E57A97
@@ -221,7 +228,11 @@ class PWRSSampler:
 
 
 class InverseTransformSampler:
-    """ThunderRW-style sampling: build a CDF table, draw once per step."""
+    """ThunderRW-style sampling: build a CDF table, draw once per step.
+
+    Works on PWRS's fixed-point grid (see "Sampler strategies" in the
+    module docstring).
+    """
 
     name = "inverse-transform"
 
@@ -242,23 +253,22 @@ class InverseTransformSampler:
     ) -> np.ndarray:
         if self._keys is None or self._counters is None:
             raise ConfigError("sampler not attached; call attach() first")
-        weights = np.asarray(weights, dtype=np.float64)
-        degrees = ctx.degrees
         seg_starts = ctx.seg_starts
+        w_int = quantize_weights(weights)
+        prefix = np.cumsum(w_int, dtype=np.uint64)
+        seg_base = prefix[seg_starts] - w_int[seg_starts]
+        seg_total = prefix[seg_starts + ctx.degrees - 1] - seg_base
 
-        global_cdf = np.cumsum(weights)
-        seg_base = global_cdf[seg_starts] - weights[seg_starts]
-        seg_ends = seg_starts + degrees
-        seg_total = global_cdf[seg_ends - 1] - seg_base
-
-        draws = _lane_uint32(self._counters[active_index], self._keys[active_index])
-        uniforms = draws.astype(np.float64) / float(1 << 32)
+        r_star = _lane_uint32(self._counters[active_index], self._keys[active_index])
         self._counters[active_index] += np.uint64(1)
 
-        targets = seg_base + uniforms * seg_total
-        raw = np.searchsorted(global_cdf, targets, side="right")
-        chosen = np.minimum(raw, seg_ends - 1) - seg_starts
-        chosen = np.maximum(chosen, 0)
+        # target = seg_base + floor(r* T / 2^32), exact in 32-bit limbs of T
+        # (as in integer_accept); it lies in [seg_base, seg_base + T).
+        targets = r_star * (seg_total & _LOW32)
+        targets >>= _SHIFT32
+        targets += r_star * (seg_total >> _SHIFT32)
+        targets += seg_base
+        chosen = np.searchsorted(prefix, targets, side="right") - seg_starts
         return np.where(seg_total > 0, chosen, np.int64(-1))
 
 

@@ -1,16 +1,40 @@
-"""Deep equality of run results, for the invariance tests."""
+"""Deep equality of run results, and weight strategies, for the invariance tests."""
 
 from __future__ import annotations
 
 import dataclasses
 
 import numpy as np
+from hypothesis import strategies as st
 
 #: Manifest fields that legitimately differ between two runs of one plan.
 VOLATILE_MANIFEST_FIELDS = frozenset({"created_unix", "host"})
 
 #: Metric families the cost stage records (the modeled hardware).
 MODELED_FAMILIES = ("dac.", "dyb.", "dram.", "pipeline.", "cpu.", "time.", "query.")
+
+
+#: The heaviest static edge weight the 24.8 fixed-point domain admits.
+HEAVIEST_WEIGHT = 2.0**24 - 1
+
+
+def domain_weights(heaviest: float = HEAVIEST_WEIGHT):
+    """One weight from across the fixed-point domain: zero, the grid step
+    ``2**-8``, ``heaviest``, or log-spread from ``2**-40`` (far below the
+    grid step, which it quantizes to) up to ``heaviest``."""
+    return st.one_of(
+        st.sampled_from([0.0, 2.0**-8, heaviest]),
+        st.floats(-40.0, float(np.log2(heaviest))).map(lambda e: 2.0**e),
+    )
+
+
+@st.composite
+def domain_weighted(draw, graph, heaviest: float = HEAVIEST_WEIGHT):
+    """``graph`` with its static weights drawn from a small palette of
+    :func:`domain_weights`, so heavy and light edges share every block."""
+    palette = draw(st.lists(domain_weights(heaviest), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return dataclasses.replace(graph, edge_weights=rng.choice(palette, graph.num_edges))
 
 
 def assert_same(got, want, where: str = "value") -> None:

@@ -1,138 +1,62 @@
-"""Table-based samplers: inverse transform and alias method."""
+"""The scalar inverse-transform table on fixed-point weights and 32-bit draws."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
-from repro.sampling.alias import AliasTable
 from repro.sampling.inverse_transform import InverseTransformTable
 
 
 class TestInverseTransform:
     def test_boundaries(self):
-        table = InverseTransformTable(np.array([1.0, 2.0, 3.0]))
-        assert table.sample(0.0) == 0
-        # CDF = [1, 3, 6]; u = 0.5 -> target 3.0 -> first entry > 3.0 is idx 2.
-        assert table.sample(0.5) == 2
-        assert table.sample(0.999) == 2
+        table = InverseTransformTable(np.array([1, 2, 3]))
+        assert table.sample(0) == 0
+        # CDF = [1, 3, 6]; r* = 2^31 -> target 3 -> first entry > 3 is idx 2.
+        assert table.sample(1 << 31) == 2
+        assert table.sample((1 << 32) - 1) == 2
 
     def test_zero_weight_items_skipped(self):
-        table = InverseTransformTable(np.array([0.0, 1.0, 0.0, 1.0]))
-        draws = table.sample_many(np.linspace(0, 0.999, 100))
-        assert set(draws.tolist()) <= {1, 3}
+        table = InverseTransformTable(np.array([0, 1, 0, 1]))
+        draws = [table.sample(int(r)) for r in np.linspace(0, 2**32 - 1, 100)]
+        assert set(draws) == {1, 3}
 
     def test_all_zero_returns_minus_one(self):
-        table = InverseTransformTable(np.zeros(3))
-        assert table.sample(0.5) == -1
-        assert (table.sample_many(np.array([0.1, 0.9])) == -1).all()
+        table = InverseTransformTable(np.zeros(3, dtype=np.uint64))
+        assert table.sample(1 << 31) == -1
+        assert table.sample(0) == -1
 
     def test_empty(self):
         table = InverseTransformTable(np.array([]))
         assert len(table) == 0
-        assert table.sample(0.5) == -1
-
-    def test_memory_accounting(self):
-        table = InverseTransformTable(np.ones(7))
-        assert table.init_reads == 7
-        assert table.init_writes == 7
+        assert table.sample(1 << 31) == -1
 
     def test_uniform_out_of_range(self):
-        table = InverseTransformTable(np.ones(2))
+        table = InverseTransformTable(np.ones(2, dtype=np.uint64))
         with pytest.raises(ValueError):
-            table.sample(1.0)
+            table.sample(1 << 32)
         with pytest.raises(ValueError):
-            table.sample(-0.1)
+            table.sample(-1)
 
     def test_negative_weights(self):
         with pytest.raises(ValueError):
-            InverseTransformTable(np.array([1.0, -2.0]))
+            InverseTransformTable(np.array([1, -2]))
 
     def test_2d_rejected(self):
         with pytest.raises(ValueError):
-            InverseTransformTable(np.ones((2, 2)))
+            InverseTransformTable(np.ones((2, 2), dtype=np.uint64))
 
-    def test_sample_many_matches_scalar(self):
-        weights = np.array([0.5, 3.0, 0.0, 1.5])
-        table = InverseTransformTable(weights)
-        uniforms = np.random.default_rng(1).random(500)
-        vectorized = table.sample_many(uniforms)
-        scalar = np.array([table.sample(u) for u in uniforms])
-        np.testing.assert_array_equal(vectorized, scalar)
+    def test_float_weights_rejected(self):
+        with pytest.raises(ValueError, match="fixed-point"):
+            InverseTransformTable(np.array([0.5, 1.0]))
 
     def test_distribution(self):
-        weights = np.array([1.0, 4.0, 5.0])
+        weights = np.array([256, 1024, 1280])
         table = InverseTransformTable(weights)
-        draws = table.sample_many(np.random.default_rng(2).random(30_000))
+        r_star = np.random.default_rng(2).integers(0, 1 << 32, 30_000)
+        draws = np.array([table.sample(int(r)) for r in r_star])
         counts = np.bincount(draws, minlength=3)
         expected = weights / weights.sum() * draws.size
         __, p_value = stats.chisquare(counts, expected)
         assert p_value > 1e-4
-
-
-class TestAlias:
-    def test_distribution(self):
-        weights = np.array([1.0, 2.0, 3.0, 6.0])
-        table = AliasTable(weights)
-        draws = table.sample_many(np.random.default_rng(3).random(40_000))
-        counts = np.bincount(draws, minlength=4)
-        expected = weights / weights.sum() * draws.size
-        __, p_value = stats.chisquare(counts, expected)
-        assert p_value > 1e-4
-
-    def test_single_item(self):
-        table = AliasTable(np.array([5.0]))
-        assert table.sample(0.7) == 0
-
-    def test_all_zero(self):
-        table = AliasTable(np.zeros(4))
-        assert table.sample(0.3) == -1
-
-    def test_empty(self):
-        assert AliasTable(np.array([])).sample(0.1) == -1
-
-    def test_uniform_out_of_range(self):
-        with pytest.raises(ValueError):
-            AliasTable(np.ones(2)).sample(1.5)
-
-    def test_negative_weights(self):
-        with pytest.raises(ValueError):
-            AliasTable(np.array([-0.5, 1.0]))
-
-    def test_sample_many_matches_scalar(self):
-        weights = np.array([2.0, 0.0, 1.0, 7.0])
-        table = AliasTable(weights)
-        uniforms = np.random.default_rng(4).random(300)
-        vectorized = table.sample_many(uniforms)
-        scalar = np.array([table.sample(u) for u in uniforms])
-        np.testing.assert_array_equal(vectorized, scalar)
-
-    @given(
-        weights=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=30),
-        seed=st.integers(0, 1000),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_never_returns_zero_weight_item_in_bulk(self, weights, seed):
-        """Zero-weight items have vanishing selection probability."""
-        weights = np.asarray(weights)
-        table = AliasTable(weights)
-        if weights.sum() <= 0:
-            return
-        draws = table.sample_many(np.random.default_rng(seed).random(200))
-        picked_weights = weights[draws]
-        # Exact-zero picks can only come from float round-off in the table
-        # construction; they must be extremely rare.
-        assert (picked_weights == 0).mean() < 0.05
-
-    def test_table_probability_mass_conserved(self):
-        weights = np.array([3.0, 1.0, 2.0, 2.0])
-        table = AliasTable(weights)
-        # Reconstruct each item's total probability from the table.
-        prob = np.zeros(4)
-        for slot in range(4):
-            prob[slot] += table.prob[slot] / 4
-            prob[table.alias[slot]] += (1 - table.prob[slot]) / 4
-        np.testing.assert_allclose(prob, weights / weights.sum(), atol=1e-9)

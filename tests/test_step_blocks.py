@@ -1,13 +1,15 @@
 """Property tests of the blocked walk kernel and Node2Vec's membership test.
 
 Random multigraphs with repeated edges, a self-loop, a sink and one hub
-whose degree exceeds the smaller edge budgets:
+whose degree exceeds the smaller edge budgets, weighted either in the
+paper's ``[1, 4)`` range or across the whole fixed-point domain:
 
 * the smaller-side membership test equals brute-force ``has_edge`` for
   every candidate edge, whichever side each query searches from;
 * ``run_walks`` returns the same paths, lengths and step records whatever
-  the step block budget, restart walks included;
-* Node2Vec rows of ``run_walks`` equal the scalar ``walk_single_query``;
+  the step block budget, for both samplers, restart walks included;
+* Node2Vec rows of ``run_walks`` equal the scalar ``walk_single_query``
+  (PWRS) and a per-query loop over ``InverseTransformTable``;
 * the constant-weight PWRS path (a stride-0 weight view, as
   :class:`UniformWalk` returns) equals the generic path fed an explicit
   array of the same value, for any ``k``, block budget and shard split;
@@ -26,11 +28,13 @@ from hypothesis import strategies as st
 
 from repro.graph.builders import from_edge_list
 from repro.graph.labels import assign_random_weights, assign_vertex_labels
+from repro.sampling import InverseTransformTable, ThundeRingRNG, derive_seed
 from repro.walks import stepper
-from repro.walks.base import StepContext, gather_step
+from repro.walks.base import StepContext, gather_step, quantize_weights
 from repro.walks.metapath import MetaPathWalk
 from repro.walks.node2vec import Node2VecWalk, connected_to_previous
 from repro.walks.ppr import RestartWalk
+from repro.walks.static import StaticWalk
 from repro.walks.stepper import (
     InverseTransformSampler,
     PWRSSampler,
@@ -38,15 +42,20 @@ from repro.walks.stepper import (
     walk_single_query,
 )
 from repro.walks.uniform import UniformWalk
+from tests.helpers import HEAVIEST_WEIGHT, domain_weighted
 
 #: Budgets compared: one query per block, blocks the hub overflows, one block.
 BUDGETS = (1, 16, 1 << 40)
 
+#: Node2Vec(2, 0.5) scales a static weight by up to ``1/q = 2``.
+N2V_HEAVIEST = HEAVIEST_WEIGHT / 2
+
 
 @st.composite
-def multigraphs(draw):
+def multigraphs(draw, heaviest=HEAVIEST_WEIGHT):
     """Vertex 0 is the hub, vertex 1 has a self-loop and a repeated edge,
-    vertex ``n - 1`` is a sink; edges repeat freely."""
+    vertex ``n - 1`` is a sink; edges repeat freely.  Weights are either
+    random in ``[1, 4)`` or spread over the domain up to ``heaviest``."""
     n = draw(st.integers(3, 14))
     pairs = draw(
         st.lists(st.tuples(st.integers(0, n - 2), st.integers(0, n - 1)), max_size=50)
@@ -56,6 +65,8 @@ def multigraphs(draw):
     graph = from_edge_list(np.asarray(edges, dtype=np.int64), num_vertices=n)
     seed = draw(st.integers(0, 2**16))
     graph = assign_vertex_labels(graph, n_labels=2, seed=seed)
+    if draw(st.booleans()):
+        return draw(domain_weighted(graph, heaviest))
     return assign_random_weights(graph, seed=seed)
 
 
@@ -84,29 +95,38 @@ def _walk(graph, starts, n_steps, algorithm, make_sampler, budget):
         return run_walks(graph, starts, n_steps, algorithm, make_sampler())
 
 
+def _pwrs(k, seed):
+    return PWRSSampler(k=k, seed=seed)
+
+
+def _itx(k, seed):
+    return InverseTransformSampler(seed=seed)
+
+
+#: name -> (algorithm, sampler, heaviest static weight the algorithm admits)
 CASES = {
-    "uniform": (UniformWalk, lambda k, seed: PWRSSampler(k=k, seed=seed)),
-    "metapath": (lambda: MetaPathWalk([0, 1]), lambda k, seed: PWRSSampler(k=k, seed=seed)),
-    "node2vec": (lambda: Node2VecWalk(2.0, 0.5), lambda k, seed: PWRSSampler(k=k, seed=seed)),
-    "node2vec-inverse-transform": (
-        lambda: Node2VecWalk(2.0, 0.5),
-        lambda k, seed: InverseTransformSampler(seed=seed),
-    ),
-    "restart": (lambda: RestartWalk(0.3), lambda k, seed: PWRSSampler(k=k, seed=seed)),
+    "uniform": (UniformWalk, _pwrs, HEAVIEST_WEIGHT),
+    "static": (StaticWalk, _pwrs, HEAVIEST_WEIGHT),
+    "static-inverse-transform": (StaticWalk, _itx, HEAVIEST_WEIGHT),
+    "metapath": (lambda: MetaPathWalk([0, 1]), _pwrs, HEAVIEST_WEIGHT),
+    "node2vec": (lambda: Node2VecWalk(2.0, 0.5), _pwrs, N2V_HEAVIEST),
+    "node2vec-inverse-transform": (lambda: Node2VecWalk(2.0, 0.5), _itx, N2V_HEAVIEST),
+    "restart": (lambda: RestartWalk(0.3), _pwrs, HEAVIEST_WEIGHT),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @given(
-    graph=multigraphs(),
+    data=st.data(),
     starts=st.lists(st.integers(0, 13), min_size=1, max_size=12),
     n_steps=st.integers(1, 8),
     k=st.sampled_from([1, 4, 16]),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=40, deadline=None)
-def test_walks_do_not_depend_on_block_budget(case, graph, starts, n_steps, k, seed):
-    make_algorithm, make_sampler = CASES[case]
+def test_walks_do_not_depend_on_block_budget(case, data, starts, n_steps, k, seed):
+    make_algorithm, make_sampler, heaviest = CASES[case]
+    graph = data.draw(multigraphs(heaviest), label="graph")
     starts = np.array(starts) % graph.num_vertices
     sessions = [
         _walk(graph, starts, n_steps, make_algorithm(), lambda: make_sampler(k, seed), budget)
@@ -126,7 +146,7 @@ def test_walks_do_not_depend_on_block_budget(case, graph, starts, n_steps, k, se
 
 
 @given(
-    graph=multigraphs(),
+    graph=multigraphs(N2V_HEAVIEST),
     starts=st.lists(st.integers(0, 13), min_size=1, max_size=8),
     n_steps=st.integers(1, 8),
     k=st.sampled_from([1, 4, 16]),
@@ -143,6 +163,42 @@ def test_node2vec_rows_match_walk_single_query(graph, starts, n_steps, k, seed):
         expected = walk_single_query(
             graph, int(start), n_steps, algorithm, k=k, seed=seed, query_id=q
         )
+        np.testing.assert_array_equal(session.path(q), expected)
+
+
+def _table_walk(graph, start, n_steps, algorithm, seed, query_id):
+    """One query walked by the scalar fixed-point table: one 32-bit draw of
+    a one-lane ThundeRiNG per step."""
+    rng = ThundeRingRNG(1, derive_seed(seed, query_id))
+    path, curr, prev = [start], start, -1
+    for step in range(n_steps):
+        if graph.degree(curr) == 0:
+            break
+        ctx = gather_step(graph, step, np.array([curr]), np.array([prev]))
+        table = InverseTransformTable(quantize_weights(algorithm.dynamic_weights(ctx)))
+        chosen = table.sample(int(rng.next_uint32()[0]))
+        if chosen < 0:
+            break
+        prev, curr = curr, int(ctx.dst[chosen])
+        path.append(curr)
+    return np.asarray(path, dtype=np.int64)
+
+
+@given(
+    graph=multigraphs(N2V_HEAVIEST),
+    starts=st.lists(st.integers(0, 13), min_size=1, max_size=8),
+    n_steps=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_inverse_transform_rows_match_table(graph, starts, n_steps, seed):
+    starts = np.array(starts) % graph.num_vertices
+    algorithm = Node2VecWalk(2.0, 0.5)
+    session = _walk(
+        graph, starts, n_steps, algorithm, lambda: InverseTransformSampler(seed), BUDGETS[1]
+    )
+    for q, start in enumerate(starts):
+        expected = _table_walk(graph, int(start), n_steps, algorithm, seed, q)
         np.testing.assert_array_equal(session.path(q), expected)
 
 

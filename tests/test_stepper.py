@@ -205,6 +205,21 @@ class TestValidationErrors:
         with pytest.raises(QueryError, match="restart"):
             walk_single_query(labeled_graph, 0, 5, walk, 16, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    @pytest.mark.parametrize("sampler", [PWRSSampler, InverseTransformSampler])
+    def test_samplers_refuse_weights_outside_the_fixed_point(self, sampler, bad):
+        """Both samplers read weights through ``quantize_weights``."""
+
+        class BadWalk(UniformWalk):
+            def dynamic_weights(self, ctx):
+                weights = np.ones(ctx.n_edges)
+                weights[-1] = bad
+                return weights
+
+        graph = star_graph(4)
+        with pytest.raises(ValueError, match="non-negative, not NaN"):
+            run_walks(graph, np.array([0]), 2, BadWalk(), sampler())
+
     def test_sampler_requires_attach(self, labeled_graph):
         from repro.errors import ConfigError
 

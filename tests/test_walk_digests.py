@@ -51,7 +51,7 @@ DIGESTS = {
     "node2vec-pwrs": "e31130bdf5b6cdf8c5cbf2479db82872a267abd122068471d6e7c91797428da1",
     "metapath-pwrs": "adf0748a8c90ebf9068d961dd55a34c5ef86129ff16371a8dc312e77fb782c6b",
     "node2vec-inverse-transform": (
-        "8f78fe351ffb57f2ee0fd623d4d56335c9f457b231a4d45f862c5ba6128b5b83"
+        "e2d07248ad3ee3de3d34082f5651b6bf0a372e9e6548ea0bd4e181ddd21d2111"
     ),
     "restart-pwrs": "a3c15b1cdde9e663b07abde54f64ed321701e5431d7abb8814203b03f0671d38",
 }
