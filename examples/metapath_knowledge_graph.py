@@ -11,52 +11,23 @@ Usage:  python examples/metapath_knowledge_graph.py
 import numpy as np
 
 from repro import LightRW, LightRWConfig, MetaPathWalk
-from repro.graph.builders import from_edge_list
-from repro.graph.csr import CSRGraph
-
-AUTHOR, PAPER, VENUE = 0, 1, 2
-LABEL_NAMES = {AUTHOR: "Author", PAPER: "Paper", VENUE: "Venue"}
-
-
-def build_bibliographic_graph(
-    n_authors: int = 300, n_papers: int = 600, n_venues: int = 25, seed: int = 1
-) -> CSRGraph:
-    """Authors write papers; papers appear at venues (bipartite layers)."""
-    rng = np.random.default_rng(seed)
-    authors = np.arange(n_authors)
-    papers = n_authors + np.arange(n_papers)
-    venues = n_authors + n_papers + np.arange(n_venues)
-
-    edges = []
-    for paper in papers:
-        for author in rng.choice(authors, size=rng.integers(1, 4), replace=False):
-            edges.append((author, paper))
-        edges.append((paper, venues[rng.integers(0, n_venues)]))
-
-    labels = np.concatenate([
-        np.full(n_authors, AUTHOR),
-        np.full(n_papers, PAPER),
-        np.full(n_venues, VENUE),
-    ]).astype(np.int16)
-
-    graph = from_edge_list(
-        np.array(edges), num_vertices=n_authors + n_papers + n_venues,
-        directed=False, name="bibliographic",
-    )
-    graph.vertex_labels = labels
-    return graph
+from repro.graph import bibliographic_schema, heterogeneous_graph
 
 
 def main() -> None:
-    graph = build_bibliographic_graph()
+    # Authors write papers; papers appear at venues (typed layers).
+    network = bibliographic_schema(n_authors=300, n_papers=600, n_venues=25)
+    graph = heterogeneous_graph(network, seed=1, name="bibliographic")
     print(f"knowledge graph: {graph}")
+    layer_names = {network.label_of(name): name.capitalize() for name in network.layers}
 
     # The A-P-V-P-A meta-path: find authors related through a venue.
-    schema = [AUTHOR, PAPER, VENUE, PAPER, AUTHOR]
+    schema = network.metapath_schema(["author", "paper", "venue", "paper", "author"])
     walk = MetaPathWalk(schema, weighted=False)
 
     engine = LightRW(graph, config=LightRWConfig(n_instances=2), seed=3)
-    authors = np.nonzero(graph.vertex_labels == AUTHOR)[0]
+    first, last = network.layer_slice("author")
+    authors = np.arange(first, last)
     starts = authors[graph.degrees[authors] > 0][:200]
     result = engine.run(walk, n_steps=len(schema) - 1, starts=starts)
 
@@ -69,7 +40,7 @@ def main() -> None:
     for q in np.nonzero(complete)[0][:5]:
         path = result.paths[q, : result.lengths[q] + 1]
         rendered = " -> ".join(
-            f"{v}:{LABEL_NAMES[int(graph.vertex_labels[v])]}" for v in path
+            f"{v}:{layer_names[int(graph.vertex_labels[v])]}" for v in path
         )
         print(f"  {rendered}")
         shown += 1

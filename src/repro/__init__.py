@@ -25,7 +25,6 @@ from repro.core.api import LightRW, RunResult
 from repro.core.compare import SpeedupReport, compare_engines
 from repro.core.queries import make_queries, sample_queries
 from repro.cpu.costmodel import CPUSpec
-from repro.cpu.engine import ThunderRWEngine
 from repro.errors import (
     ArtifactCorruptionError,
     ConfigError,
@@ -98,7 +97,6 @@ __all__ = [
     "SpeedupReport",
     "StaticWalk",
     "SweepCheckpoint",
-    "ThunderRWEngine",
     "TimingBreakdown",
     "UniformWalk",
     "__version__",

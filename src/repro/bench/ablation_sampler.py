@@ -22,13 +22,12 @@ from repro.bench.common import (
     ExperimentResult,
     register,
 )
-from repro.cpu.costmodel import CPUSpec
-from repro.cpu.engine import ThunderRWEngine
+from repro.cpu.costmodel import CPU_PWRS_LANES, CPUSpec, cpu_time_for_session
 from repro.fpga.config import LightRWConfig
 from repro.fpga.perfmodel import FPGAPerfModel
 from repro.graph.datasets import load_dataset
 from repro.walks.metapath import MetaPathWalk
-from repro.walks.stepper import PWRSSampler, run_walks
+from repro.walks.stepper import InverseTransformSampler, PWRSSampler, run_walks
 
 
 @register("ablation-sampler")
@@ -52,25 +51,30 @@ def run(
         ).evaluate(session, record_latency=False)
 
         spec = CPUSpec().scaled(scale_divisor)
-        cpu = {
-            kind: ThunderRWEngine(graph, spec, sampler=kind, seed=seed).run(
-                starts, METAPATH_LENGTH, algorithm
-            )
-            for kind in ("inverse-transform", "alias", "pwrs")
-        }
-        itx_exec = cpu["inverse-transform"].timing.exec_s
+        # The two table methods draw from the same per-step distribution:
+        # one inverse-transform walk, costed under both labels.
+        table_session = run_walks(
+            graph, starts, METAPATH_LENGTH, algorithm, InverseTransformSampler(seed)
+        )
+        pwrs_session = run_walks(
+            graph, starts, METAPATH_LENGTH, algorithm,
+            PWRSSampler(CPU_PWRS_LANES, seed),
+        )
+        itx_exec = cpu_time_for_session(table_session, algorithm, spec).exec_s
+        alias_exec = cpu_time_for_session(
+            table_session, algorithm, spec, sampler="alias"
+        ).exec_s
+        pwrs_exec = cpu_time_for_session(
+            pwrs_session, algorithm, spec, sampler="pwrs"
+        ).exec_s
         rows.append(
             {
                 "graph": name,
                 "fpga_wrs_over_table": round(
                     fpga_table.kernel_cycles / fpga_wrs.kernel_cycles, 2
                 ),
-                "cpu_itx_over_pwrs": round(
-                    cpu["pwrs"].timing.exec_s / itx_exec, 2
-                ),
-                "cpu_alias_over_itx": round(
-                    cpu["alias"].timing.exec_s / itx_exec, 2
-                ),
+                "cpu_itx_over_pwrs": round(pwrs_exec / itx_exec, 2),
+                "cpu_alias_over_itx": round(alias_exec / itx_exec, 2),
             }
         )
     return ExperimentResult(

@@ -19,12 +19,12 @@ from repro.bench.common import (
     ExperimentResult,
     register,
 )
-from repro.cpu.costmodel import CPUSpec
-from repro.cpu.engine import ThunderRWEngine
+from repro.cpu.costmodel import CPUSpec, cpu_time_for_session
 from repro.cpu.profiling import profile_session
 from repro.graph.datasets import load_dataset
 from repro.walks.metapath import MetaPathWalk
 from repro.walks.node2vec import Node2VecWalk
+from repro.walks.stepper import InverseTransformSampler, run_walks
 
 #: The paper's measured values: (app, graph) -> (llc_miss, mem_bound, retiring).
 PAPER_VALUES = {
@@ -49,12 +49,14 @@ def run(
     for app, algorithm, n_steps in workloads:
         for name in ("livejournal", "uk2002"):
             graph = load_dataset(name, scale_divisor=scale_divisor, seed=seed)
-            engine = ThunderRWEngine(
-                graph, spec=CPUSpec().scaled(scale_divisor), seed=seed
-            )
             starts = graph.nonzero_degree_vertices()[:DEFAULT_SAMPLED_QUERIES]
-            outcome = engine.run(starts, n_steps, algorithm)
-            profile = profile_session(outcome.timing, app, name)
+            session = run_walks(
+                graph, starts, n_steps, algorithm, InverseTransformSampler(seed)
+            )
+            timing = cpu_time_for_session(
+                session, algorithm, CPUSpec().scaled(scale_divisor)
+            )
+            profile = profile_session(timing, app, name)
             paper = PAPER_VALUES[(app, name)]
             rows.append(
                 {

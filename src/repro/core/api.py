@@ -233,7 +233,6 @@ class LightRW:
         starts: np.ndarray | None = None,
         max_sampled_queries: int = 4096,
         record_latency: bool = True,
-        include_pcie: bool = True,
         shards: int = 1,
         mode: str = "sequential",
         workers: int | None = None,
@@ -325,7 +324,6 @@ class LightRW:
                 np.asarray(starts, dtype=np.int64),
                 max_sampled_queries=max_sampled_queries,
                 record_latency=record_latency,
-                include_pcie=include_pcie,
                 shards=shards,
                 seed=self.seed,
                 trace=trace,
@@ -358,7 +356,7 @@ class LightRW:
     ) -> RunResult:
         report = outcome.report
         pcie_s = 0.0
-        if plan.include_pcie and resolve_backend(self.backend).capabilities.uses_pcie:
+        if resolve_backend(self.backend).capabilities.uses_pcie:
             pcie_s = self.pcie.round_trip_s(
                 self.graph, plan.total_queries, report.total_steps
             )

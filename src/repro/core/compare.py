@@ -13,11 +13,17 @@ import numpy as np
 
 from repro.core.api import LightRW, RunResult
 from repro.core.queries import make_queries
-from repro.cpu.costmodel import CPUSpec
+from repro.cpu.costmodel import (
+    CPU_PWRS_LANES,
+    CPUSpec,
+    CPUTimeBreakdown,
+    cpu_time_for_session,
+)
 from repro.fpga.config import LightRWConfig
 from repro.fpga.power import PowerModel
 from repro.graph.csr import CSRGraph
 from repro.walks.base import WalkAlgorithm
+from repro.walks.stepper import PWRSSampler, run_walks
 
 
 @dataclass
@@ -28,7 +34,8 @@ class SpeedupReport:
     algorithm: str
     lightrw: RunResult
     thunderrw: RunResult
-    thunderrw_pwrs: RunResult | None = None
+    #: "ThunderRW w/ PWRS": the CPU cost model over a PWRS walk.
+    thunderrw_pwrs: CPUTimeBreakdown | None = None
 
     @property
     def speedup(self) -> float:
@@ -45,7 +52,7 @@ class SpeedupReport:
         """ThunderRW w/ PWRS relative to stock ThunderRW (Figure 14)."""
         if self.thunderrw_pwrs is None:
             return None
-        return self.thunderrw.kernel_s / self.thunderrw_pwrs.kernel_s
+        return self.thunderrw.kernel_s / self.thunderrw_pwrs.exec_s
 
     def power_efficiency_improvement(self) -> float:
         model = PowerModel(self.algorithm)
@@ -98,33 +105,21 @@ def compare_engines(
     thunder = cpu.run(
         algorithm, n_steps, starts=starts, max_sampled_queries=max_sampled_queries
     )
-    pwrs_result = None
+    pwrs_timing = None
     if include_pwrs_variant:
-        from repro.cpu.engine import ThunderRWEngine
-        from repro.core.queries import sample_queries
-
-        sampled, total = sample_queries(starts, max_sampled_queries, seed=seed)
-        engine = ThunderRWEngine(
-            graph, spec=cpu.cpu_spec, sampler="pwrs", seed=seed
+        # The batch plan_run sampled for LightRW, walked with SIMD-lane PWRS.
+        session = run_walks(
+            graph, light.session.starts, n_steps, algorithm,
+            PWRSSampler(CPU_PWRS_LANES, seed),
         )
-        outcome = engine.run(sampled, n_steps, algorithm, total_queries=total)
-        pwrs_result = RunResult(
-            backend="cpu-baseline",
-            algorithm=algorithm.name,
-            num_queries=total,
-            total_steps=outcome.timing.total_steps,
-            paths=outcome.session.paths,
-            lengths=outcome.session.lengths,
-            kernel_s=outcome.timing.exec_s,
-            pcie_s=0.0,
-            setup_s=outcome.timing.init_time_s,
-            breakdown=outcome.timing,
-            session=outcome.session,
+        pwrs_timing = cpu_time_for_session(
+            session, algorithm, cpu.cpu_spec, sampler="pwrs",
+            total_queries=light.num_queries,
         )
     return SpeedupReport(
         graph=graph.name,
         algorithm=algorithm.name,
         lightrw=light,
         thunderrw=thunder,
-        thunderrw_pwrs=pwrs_result,
+        thunderrw_pwrs=pwrs_timing,
     )

@@ -10,17 +10,19 @@ sides of every speedup in this repository are computed in the same modeling
 framework, so the comparisons carry (see DESIGN.md).
 """
 
-from repro.cpu.costmodel import CPUSpec, CPUTimeBreakdown, cpu_time_for_session
-from repro.cpu.engine import ThunderRWEngine, ThunderRWResult
-from repro.cpu.memory_model import CacheSim, llc_hit_ratio
+from repro.cpu.costmodel import (
+    CPU_PWRS_LANES,
+    CPUSpec,
+    CPUTimeBreakdown,
+    cpu_time_for_session,
+)
+from repro.cpu.memory_model import llc_hit_ratio
 from repro.cpu.profiling import TopDownProfile, profile_session
 
 __all__ = [
+    "CPU_PWRS_LANES",
     "CPUSpec",
     "CPUTimeBreakdown",
-    "CacheSim",
-    "ThunderRWEngine",
-    "ThunderRWResult",
     "TopDownProfile",
     "cpu_time_for_session",
     "llc_hit_ratio",

@@ -44,6 +44,9 @@ CPU_ROW_BYTES = 8
 #: misses: hardware prefetchers convert the rest into hits by the time the
 #: core touches the line (calibrates the Table 1 miss ratios).
 SEQ_DEMAND_MISS_FRACTION = 0.65
+#: PWRS lanes of "ThunderRW w/ PWRS" (Figure 14): on a CPU the lanes are
+#: SIMD lanes, and 4 matches 128-bit vectors of 32-bit weights.
+CPU_PWRS_LANES = 4
 
 
 @dataclass(frozen=True)
@@ -221,15 +224,17 @@ def cpu_time_for_session(
         Platform constants (use ``spec.scaled(scale_divisor)`` when the
         session's graph is a scaled stand-in).
     sampler:
-        ``"inverse-transform"`` for stock ThunderRW, ``"pwrs"`` for the
-        ThunderRW w/ PWRS variant of Figure 14 (no intermediate table, but
-        one random number per candidate item).
+        ``"inverse-transform"`` for stock ThunderRW, ``"alias"`` for its
+        other table method (same walk, costlier table build), ``"pwrs"``
+        for the ThunderRW w/ PWRS variant of Figure 14 (no intermediate
+        table, but one random number per candidate item; walk the session
+        with ``PWRSSampler(CPU_PWRS_LANES, seed)``).
     total_queries:
         When the session walked a uniform sample of a larger batch, the
         full batch size — busy times extrapolate linearly.
     """
     if not session.records:
-        raise ValueError("session has no trace records; run with record_trace=True")
+        raise ValueError("session has no trace records: it walked no step to cost")
     if sampler not in ("inverse-transform", "alias", "pwrs"):
         raise ValueError(f"unknown sampler {sampler!r}")
     scale = 1.0

@@ -1,18 +1,12 @@
-"""CPU cache behaviour: a trace-driven LLC simulator and an analytic model.
+"""CPU cache behaviour: an analytic last-level-cache hit model.
 
-Two tools with one purpose — estimating how often the CPU baseline's memory
-accesses miss the last-level cache:
+:func:`llc_hit_ratio` estimates how often the CPU baseline's random
+accesses hit the last-level cache, for the cost model in
+:mod:`repro.cpu.costmodel`: random accesses into a graph's arrays hit
+either because the *whole* working set fits, or because the access
+distribution is degree-skewed and the hot head fits.
 
-* :class:`CacheSim` — an exact set-associative LRU cache simulator.  Used by
-  unit tests and the Table 1 profiler on sampled traces (it is a Python
-  loop, so it is fed thousands, not billions, of accesses).
-* :func:`llc_hit_ratio` — a closed-form approximation used by the fast cost
-  model: random accesses into a graph's arrays hit the LLC either because
-  the *whole* working set fits, or because the access distribution is
-  degree-skewed and the hot head fits.  Validated against :class:`CacheSim`
-  in the test suite.
-
-Both honor the **scaled-platform rule** (DESIGN.md): when experiments run on
+It honors the **scaled-platform rule** (DESIGN.md): when experiments run on
 a graph scaled down by ``s``, the 35.75 MB LLC is scaled by ``s`` too so the
 capacity-to-footprint ratio — the quantity that drives every result — is
 preserved.
@@ -27,58 +21,6 @@ XEON_6246R_LLC_BYTES = int(35.75 * (1 << 20))
 
 #: Cache line size (bytes) of the modeled CPU.
 CPU_LINE_BYTES = 64
-
-
-class CacheSim:
-    """Exact set-associative LRU cache over 64-byte lines.
-
-    ``access`` takes byte addresses; the simulator records hits and misses.
-    Intended for traces up to a few hundred thousand accesses (pure Python
-    per-access loop).
-    """
-
-    def __init__(self, capacity_bytes: int, ways: int = 16, line_bytes: int = CPU_LINE_BYTES):
-        if capacity_bytes <= 0 or ways <= 0 or line_bytes <= 0:
-            raise ValueError("capacity, ways and line size must be positive")
-        n_lines = max(capacity_bytes // line_bytes, ways)
-        self.n_sets = max(n_lines // ways, 1)
-        self.ways = ways
-        self.line_bytes = line_bytes
-        # per-set dict: tag -> last-use tick (LRU bookkeeping)
-        self._sets: list[dict[int, int]] = [dict() for _ in range(self.n_sets)]
-        self._tick = 0
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, address: int) -> bool:
-        """Touch one byte address; returns True on hit."""
-        line = address // self.line_bytes
-        set_index = line % self.n_sets
-        tag = line // self.n_sets
-        entries = self._sets[set_index]
-        self._tick += 1
-        if tag in entries:
-            entries[tag] = self._tick
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(entries) >= self.ways:
-            victim = min(entries, key=entries.get)
-            del entries[victim]
-        entries[tag] = self._tick
-        return False
-
-    def access_many(self, addresses: np.ndarray) -> int:
-        """Touch a sequence of byte addresses; returns the number of hits."""
-        before = self.hits
-        for address in np.asarray(addresses, dtype=np.int64).tolist():
-            self.access(address)
-        return self.hits - before
-
-    @property
-    def miss_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
 
 
 def llc_hit_ratio(

@@ -213,7 +213,7 @@ class FPGAPerfModel:
             Compute per-query latency (needed by the latency experiments).
         """
         if not session.records:
-            raise ConfigError("session has no trace records; run with record_trace=True")
+            raise ConfigError("session has no trace records: it walked no step to cost")
         cfg = self.config
         dram = cfg.dram
         n_inst = cfg.n_instances

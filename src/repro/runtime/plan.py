@@ -69,7 +69,6 @@ class ExecutionPlan:
     total_queries: int
     shards: tuple[QueryShard, ...] = field(default=())
     record_latency: bool = True
-    include_pcie: bool = True
     #: Cycle budget forwarded to the cycle-accurate simulator.
     max_cycles: int = 50_000_000
     #: Record pipeline events on backends that support it (``fpga-cycle``);
@@ -114,7 +113,6 @@ def plan_run(
     *,
     max_sampled_queries: int = 4096,
     record_latency: bool = True,
-    include_pcie: bool = True,
     shards: int = 1,
     max_cycles: int = 50_000_000,
     seed: int = 0,
@@ -165,7 +163,6 @@ def plan_run(
             total_queries=total,
             shards=_partition(sampled, total, shard_count),
             record_latency=record_latency,
-            include_pcie=include_pcie,
             max_cycles=max_cycles,
             trace=trace,
         )

@@ -320,7 +320,6 @@ def run_walks(
     n_steps: int,
     algorithm: WalkAlgorithm,
     sampler: PWRSSampler | InverseTransformSampler,
-    record_trace: bool = True,
     query_ids: np.ndarray | None = None,
 ) -> WalkSession:
     """Walk every query ``n_steps`` steps (or until a dead end).
@@ -338,9 +337,6 @@ def run_walks(
         The GDRW weight-update function.
     sampler:
         Sampler strategy instance (its ``attach`` is called here).
-    record_trace:
-        Keep per-step :class:`StepRecord` entries (required by the
-        performance models; disable only for pure functional runs).
     query_ids:
         Global query ids used to derive per-query RNG lanes; defaults to
         ``arange(len(starts))``.  The sharded batch scheduler passes each
@@ -411,18 +407,17 @@ def run_walks(
         )
         sampled = next_vertices >= 0
 
-        if record_trace:
-            records.append(
-                StepRecord(
-                    step=step,
-                    query_ids=active.copy(),
-                    curr=a_curr.copy(),
-                    degrees=step_degrees,
-                    prev=a_prev,
-                    prev_degrees=np.where(a_prev >= 0, all_degrees[np.maximum(a_prev, 0)], 0),
-                    next_vertex=next_vertices,
-                )
+        records.append(
+            StepRecord(
+                step=step,
+                query_ids=active.copy(),
+                curr=a_curr.copy(),
+                degrees=step_degrees,
+                prev=a_prev,
+                prev_degrees=np.where(a_prev >= 0, all_degrees[np.maximum(a_prev, 0)], 0),
+                next_vertex=next_vertices,
             )
+        )
 
         moved = active[sampled]
         prev[moved] = curr[moved]

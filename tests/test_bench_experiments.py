@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import REGISTRY
+from repro.bench.ablation_sampler import run as ablation_sampler
 from repro.bench.fig06_burst_bandwidth import run as fig6
 from repro.bench.fig10_wrs_throughput import run_parallelism, run_stream_lengths
 from repro.bench.fig11_cache_miss import run as fig11
@@ -44,6 +45,11 @@ def test_result_save_json(tmp_path):
     path = result.save_json(tmp_path)
     assert path.exists()
     assert "livejournal" in path.read_text()
+
+
+@pytest.fixture(scope="module")
+def table1_512():
+    return table1(scale_divisor=512, node2vec_length=10)
 
 
 class TestShapes:
@@ -112,9 +118,8 @@ class TestShapes:
             speedups = [r["speedup"] for r in rows]
             assert max(speedups) / min(speedups) < 1.8
 
-    def test_table1_memory_dominates(self):
-        result = table1(scale_divisor=512, node2vec_length=10)
-        for row in result.rows:
+    def test_table1_memory_dominates(self, table1_512):
+        for row in table1_512.rows:
             miss = float(row["llc_miss"].rstrip("%"))
             retiring = float(row["retiring"].rstrip("%"))
             assert miss > 30.0
@@ -136,3 +141,54 @@ class TestShapes:
                 ours = float(row[column].split("%")[0])
                 paper = float(row[column].split("paper ")[1].rstrip(")%"))
                 assert ours == pytest.approx(paper, abs=1.0)
+
+
+class TestThunderRWPinned:
+    """Every ThunderRW figure is ``cpu_time_for_session`` over a
+    ``run_walks`` session; these pin the CPU numbers the experiments
+    report, so a change to that path that moves one fails here."""
+
+    def test_table1_profile(self, table1_512):
+        got = [
+            (r["app"], r["graph"], r["llc_miss"], r["memory_bound"], r["retiring"])
+            for r in table1_512.rows
+        ]
+        assert got == [
+            ("MetaPath", "livejournal", "62.1%", "53.5%", "26.0%"),
+            ("MetaPath", "uk2002", "65.0%", "64.0%", "16.4%"),
+            ("Node2Vec", "livejournal", "62.4%", "55.8%", "24.0%"),
+            ("Node2Vec", "uk2002", "65.3%", "60.7%", "19.5%"),
+        ]
+
+    def test_ablation_sampler(self):
+        result = ablation_sampler(scale_divisor=512)
+        assert result.rows == [
+            {
+                "graph": "livejournal",
+                "fpga_wrs_over_table": 2.59,
+                "cpu_itx_over_pwrs": 0.93,
+                "cpu_alias_over_itx": 1.11,
+            },
+            {
+                "graph": "orkut",
+                "fpga_wrs_over_table": 2.71,
+                "cpu_itx_over_pwrs": 0.94,
+                "cpu_alias_over_itx": 1.13,
+            },
+        ]
+
+    def test_fig14_speedups(self):
+        result = fig14(
+            scale_divisor=512, graphs=("youtube", "orkut"), node2vec_length=10,
+            max_sampled_queries=256,
+        )
+        got = [
+            (r["graph"], r["app"], r["speedup"], r["thunderrw_w_pwrs"])
+            for r in result.rows
+        ]
+        assert got == [
+            ("youtube", "MetaPath", 3.44, 1.06),
+            ("youtube", "Node2Vec", 2.69, 1.02),
+            ("orkut", "MetaPath", 4.91, 1.06),
+            ("orkut", "Node2Vec", 5.0, 1.11),
+        ]

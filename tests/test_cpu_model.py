@@ -1,4 +1,4 @@
-"""CPU baseline: cache models, cost model, profiling."""
+"""CPU baseline: LLC hit model, cost model, profiling."""
 
 from __future__ import annotations
 
@@ -6,42 +6,12 @@ import numpy as np
 import pytest
 
 from repro.cpu.costmodel import CPUSpec, cpu_time_for_session
-from repro.cpu.engine import ThunderRWEngine
-from repro.cpu.memory_model import CacheSim, llc_hit_ratio
+from repro.cpu.memory_model import llc_hit_ratio
 from repro.cpu.profiling import profile_session
 from repro.walks.metapath import MetaPathWalk
 from repro.walks.node2vec import Node2VecWalk
-from repro.walks.stepper import InverseTransformSampler, run_walks
+from repro.walks.stepper import InverseTransformSampler, PWRSSampler, run_walks
 from repro.walks.uniform import UniformWalk
-
-
-class TestCacheSim:
-    def test_lru_eviction(self):
-        # One set, two ways.
-        cache = CacheSim(capacity_bytes=128, ways=2, line_bytes=64)
-        assert cache.n_sets == 1
-        assert not cache.access(0)
-        assert not cache.access(64)
-        assert cache.access(0)  # hit, promotes line 0
-        assert not cache.access(128)  # evicts line 64 (LRU)
-        assert cache.access(0)
-        assert not cache.access(64)
-
-    def test_line_granularity(self):
-        cache = CacheSim(capacity_bytes=64, ways=1)
-        cache.access(0)
-        assert cache.access(63)  # same line
-        assert not cache.access(64)
-
-    def test_access_many(self):
-        cache = CacheSim(capacity_bytes=1024, ways=4)
-        hits = cache.access_many(np.array([0, 0, 0, 64, 64]))
-        assert hits == 3
-        assert cache.miss_ratio == pytest.approx(2 / 5)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            CacheSim(0)
 
 
 class TestLLCHitRatio:
@@ -133,8 +103,7 @@ class TestCostModel:
     def test_rejects_traceless_session(self, labeled_graph):
         starts = labeled_graph.nonzero_degree_vertices()[:4]
         bare = run_walks(
-            labeled_graph, starts, 3, UniformWalk(), InverseTransformSampler(0),
-            record_trace=False,
+            labeled_graph, starts, 0, UniformWalk(), InverseTransformSampler(0)
         )
         with pytest.raises(ValueError):
             cpu_time_for_session(bare, UniformWalk(), CPUSpec())
@@ -145,19 +114,29 @@ class TestCostModel:
 
 
 class TestEngine:
+    """ThunderRW is ``run_walks`` plus ``cpu_time_for_session``."""
+
     def test_run_produces_walks_and_timing(self, labeled_graph):
-        engine = ThunderRWEngine(labeled_graph, CPUSpec().scaled(64), seed=3)
+        algorithm = MetaPathWalk([0, 1, 2])
         starts = labeled_graph.nonzero_degree_vertices()[:32]
-        outcome = engine.run(starts, 6, MetaPathWalk([0, 1, 2]))
-        assert outcome.session.num_queries == 32
-        assert outcome.wall_s > 0
-        assert outcome.steps_per_second > 0
+        walked = run_walks(labeled_graph, starts, 6, algorithm, InverseTransformSampler(3))
+        timing = cpu_time_for_session(walked, algorithm, CPUSpec().scaled(64))
+        assert walked.num_queries == 32
+        assert timing.total_steps == walked.total_steps
+        assert timing.wall_s > 0
+        assert timing.steps_per_second > 0
 
     def test_invalid_sampler_kind(self, labeled_graph):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            ThunderRWEngine(labeled_graph, sampler="rejection")
+        # Each walk strategy's name is a cost label; other labels are refused.
+        starts = labeled_graph.nonzero_degree_vertices()[:8]
+        for sampler in (InverseTransformSampler(3), PWRSSampler(4, 3)):
+            walked = run_walks(labeled_graph, starts, 3, UniformWalk(), sampler)
+            timing = cpu_time_for_session(
+                walked, UniformWalk(), CPUSpec(), sampler=walked.sampler
+            )
+            assert timing.sampler == sampler.name
+            with pytest.raises(ValueError, match="unknown sampler 'rejection'"):
+                cpu_time_for_session(walked, UniformWalk(), CPUSpec(), "rejection")
 
 
 class TestProfiling:

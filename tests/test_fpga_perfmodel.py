@@ -44,10 +44,7 @@ class TestBasicAccounting:
 
     def test_needs_trace(self, labeled_graph):
         starts = labeled_graph.nonzero_degree_vertices()[:4]
-        bare = run_walks(
-            labeled_graph, starts, 3, UniformWalk(), PWRSSampler(16, 0),
-            record_trace=False,
-        )
+        bare = run_walks(labeled_graph, starts, 0, UniformWalk(), PWRSSampler(16, 0))
         with pytest.raises(ConfigError):
             FPGAPerfModel(LightRWConfig(), UniformWalk()).evaluate(bare)
 

@@ -98,10 +98,9 @@ class TestDistributed:
         bare = run_walks(
             labeled_graph,
             labeled_graph.nonzero_degree_vertices()[:4],
-            3,
+            0,
             UniformWalk(),
             PWRSSampler(16, 0),
-            record_trace=False,
         )
         with pytest.raises(ConfigError):
             DistributedLightRW(u250_config(), UniformWalk(), 2).evaluate(bare)
@@ -124,9 +123,9 @@ class TestAliasCPUMode:
         assert pwrs.seq_time_s < itx.seq_time_s
 
     def test_engine_accepts_alias(self, labeled_graph):
-        from repro.cpu.engine import ThunderRWEngine
-
-        engine = ThunderRWEngine(labeled_graph, sampler="alias")
         starts = labeled_graph.nonzero_degree_vertices()[:8]
-        outcome = engine.run(starts, 3, UniformWalk())
-        assert outcome.timing.sampler == "alias"
+        session = run_walks(
+            labeled_graph, starts, 3, UniformWalk(), InverseTransformSampler(0)
+        )
+        timing = cpu_time_for_session(session, UniformWalk(), CPUSpec(), "alias")
+        assert timing.sampler == "alias"

@@ -163,13 +163,6 @@ class TestTraceRecords:
                 assert record.prev[idx] == session.paths[qid, step - 1]
                 assert record.curr[idx] == session.paths[qid, step]
 
-    def test_record_trace_disabled(self, labeled_graph):
-        starts = labeled_graph.nonzero_degree_vertices()[:10]
-        session = run_walks(
-            labeled_graph, starts, 5, UniformWalk(), PWRSSampler(8, 0), record_trace=False
-        )
-        assert session.records == []
-
 
 class TestValidationErrors:
     def test_bad_starts(self, labeled_graph):
