@@ -291,14 +291,15 @@ class LightRW:
             :attr:`RunResult.failures`.
         retry:
             Per-shard :class:`~repro.runtime.RetryPolicy`: attempt
-            budget, backoff with deterministic jitter, and a per-attempt
-            timeout.  Default: one attempt, no timeout.
+            budget and a per-attempt timeout; a retry starts at once.
+            Default: one attempt, no timeout.
         faults:
             Deterministic :class:`~repro.runtime.InjectedFault` specs for
             testing the failure paths (see :mod:`repro.runtime.faults`).
         checkpoint_dir:
             Persist each completed shard's report (atomic write, content
             checksum) to this directory so a killed run can resume.
+            Without ``resume``, shard files already there are discarded.
         resume:
             Restore completed shards from ``checkpoint_dir`` and execute
             only the missing ones; the resumed result is byte-identical

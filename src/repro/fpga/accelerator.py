@@ -186,11 +186,7 @@ class _Instance:
             module.tracer = tracer
 
     def run(self, max_cycles: int, watchdog_cycles: int | None) -> int:
-        return self.sim.run_until(
-            self.controller.done,
-            max_cycles=max_cycles,
-            watchdog_cycles=watchdog_cycles,
-        )
+        return self.sim.run_until(self.controller.done, max_cycles, watchdog_cycles)
 
     def stats(self) -> InstanceStats:
         return InstanceStats(

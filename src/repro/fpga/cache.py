@@ -29,14 +29,10 @@ This module provides:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
 
 
 def _check_capacity(capacity: int) -> None:
@@ -48,9 +44,8 @@ class CacheStatsMixin:
     """Shared hit/miss accounting for every cache policy.
 
     Subclasses call :meth:`record_hit` / :meth:`record_miss` from their
-    ``access`` method; the derived ratios and the metrics-registry bridge
-    (:meth:`publish`) then come for free and stay consistent across
-    policies.
+    ``access`` method; the derived ratios then come for free and stay
+    consistent across policies.
     """
 
     name = "cache"
@@ -58,8 +53,6 @@ class CacheStatsMixin:
     def _init_stats(self) -> None:
         self.hits = 0
         self.misses = 0
-        self._published_hits = 0
-        self._published_misses = 0
 
     def record_hit(self) -> bool:
         self.hits += 1
@@ -82,27 +75,6 @@ class CacheStatsMixin:
     def hit_ratio(self) -> float:
         total = self.accesses
         return self.hits / total if total else 0.0
-
-    def publish(self, metrics: "MetricsRegistry", **labels: object) -> None:
-        """Feed this cache's counters into a metrics registry.
-
-        Series use the DAC slot's documented names (``dac.*``) with a
-        ``policy`` label distinguishing the ablation policies.
-
-        Publishing is snapshot-idempotent: only events recorded since the
-        previous ``publish`` call are added, so calling it repeatedly
-        (e.g. once per shard merge plus once at run end) never
-        double-counts into the cumulative ``dac.*`` counters.
-        """
-        labels = dict(labels, policy=self.name)
-        delta_hits = self.hits - self._published_hits
-        delta_misses = self.misses - self._published_misses
-        metrics.counter("dac.accesses", **labels).inc(delta_hits + delta_misses)
-        metrics.counter("dac.hits", **labels).inc(delta_hits)
-        metrics.counter("dac.misses", **labels).inc(delta_misses)
-        metrics.gauge("dac.hit_ratio", **labels).set(self.hit_ratio)
-        self._published_hits = self.hits
-        self._published_misses = self.misses
 
 
 class DegreeAwareCache(CacheStatsMixin):

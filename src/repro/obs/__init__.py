@@ -38,7 +38,7 @@ from repro.obs.adapters import (
 from repro.obs.export import (
     append_jsonl,
     chrome_trace,
-    prometheus_text,
+    prometheus_from_snapshot,
     read_jsonl,
     run_record,
     summarize_records,
@@ -51,8 +51,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullMetricsRegistry,
     series_key,
 )
 from repro.obs.spans import (
@@ -73,8 +71,6 @@ __all__ = [
     "LOG_LEVELS",
     "MetricsRegistry",
     "NULL_OBSERVER",
-    "NULL_REGISTRY",
-    "NullMetricsRegistry",
     "NullObserver",
     "Observer",
     "RunManifest",
@@ -86,7 +82,7 @@ __all__ = [
     "config_fingerprint",
     "configure_logging",
     "current_observer",
-    "prometheus_text",
+    "prometheus_from_snapshot",
     "read_jsonl",
     "record_breakdown",
     "record_checkpoint",

@@ -5,9 +5,10 @@ Three output formats cover the common consumers:
 * :func:`run_record` / :func:`append_jsonl` — one self-contained JSON
   object per run (manifest + metrics snapshot + spans), appended to a
   ``.jsonl`` file.  ``repro obs summarize`` reads these back.
-* :func:`prometheus_text` — the registry in Prometheus exposition format
-  (metric names have dots rewritten to underscores), for scraping or
-  diffing with standard tooling.
+* :func:`prometheus_from_snapshot` — a metrics snapshot (a JSONL
+  record's ``metrics``, or ``registry.snapshot()``) in Prometheus
+  exposition format (metric names have dots rewritten to underscores),
+  for scraping or diffing with standard tooling.
 * :func:`chrome_trace` — a ``chrome://tracing`` / Perfetto trace-event
   JSON combining runtime spans (wall-clock) and the cycle simulator's
   :class:`~repro.fpga.sim.trace.PipelineTracer` events (cycles converted
@@ -31,7 +32,6 @@ from repro.artifacts import (
     record_checksum_ok,
 )
 from repro.errors import ArtifactCorruptionError
-from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.spans import Observer, SpanRecord
 
 logger = logging.getLogger(__name__)
@@ -45,7 +45,6 @@ __all__ = [
     "append_jsonl",
     "chrome_trace",
     "prometheus_from_snapshot",
-    "prometheus_text",
     "read_jsonl",
     "run_record",
     "summarize_records",
@@ -205,37 +204,6 @@ def _prom_labels(labels: dict) -> str:
         return ""
     inner = ",".join(f'{_prom_name(str(k))}="{labels[k]}"' for k in sorted(labels))
     return "{" + inner + "}"
-
-
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus exposition format."""
-    by_name: dict[str, list] = {}
-    for instrument in registry.series():
-        by_name.setdefault(instrument.name, []).append(instrument)
-    lines: list[str] = []
-    for name in sorted(by_name):
-        series = by_name[name]
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} {series[0].kind}")
-        for instrument in series:
-            if isinstance(instrument, Histogram):
-                cumulative = 0
-                for bound, count in zip(instrument.buckets, instrument.counts):
-                    cumulative += count
-                    labels = dict(instrument.labels, le=repr(bound))
-                    lines.append(f"{prom}_bucket{_prom_labels(labels)} {cumulative}")
-                labels = dict(instrument.labels, le="+Inf")
-                lines.append(
-                    f"{prom}_bucket{_prom_labels(labels)} {instrument.count}"
-                )
-                base = _prom_labels(instrument.labels)
-                lines.append(f"{prom}_sum{base} {instrument.sum}")
-                lines.append(f"{prom}_count{base} {instrument.count}")
-            else:
-                lines.append(
-                    f"{prom}{_prom_labels(instrument.labels)} {instrument.value}"
-                )
-    return "\n".join(lines) + "\n" if lines else ""
 
 
 def _parse_series_key(key: str) -> tuple[str, dict]:

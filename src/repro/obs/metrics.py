@@ -10,9 +10,9 @@ series are identified by a metric name plus a label set
 :mod:`repro.obs.adapters` translate the native stats objects into it
 under the stable names documented in ``docs/observability.md``.
 
-Collection is opt-in.  When observability is off the runtime uses
-:data:`NULL_REGISTRY`, whose instruments are shared do-nothing objects —
-the guarded no-op path adds no measurable overhead to a run.
+Collection is opt-in.  Every write site checks ``observer.enabled``
+first, so with no observer installed nothing is written and the check
+is the whole cost.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullMetricsRegistry",
     "series_key",
     "DEFAULT_LATENCY_BUCKETS_S",
 ]
@@ -262,8 +260,6 @@ class MetricsRegistry:
             elif kind == "histogram":
                 buckets = tuple(float(b) for b in entry["buckets"])
                 hist = self.histogram(name, buckets=buckets, **labels)
-                if not isinstance(hist, Histogram):  # null registry
-                    continue
                 with hist._lock:
                     if hist.buckets != buckets:
                         raise ValueError(
@@ -277,49 +273,3 @@ class MetricsRegistry:
                     hist.count += entry["count"]
             else:
                 raise ValueError(f"unknown instrument kind {kind!r}")
-
-
-class _NullCounter:
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram:
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """Allocation-free registry used when observability is disabled."""
-
-    def counter(self, name: str, **labels: object):  # type: ignore[override]
-        return _NULL_COUNTER
-
-    def gauge(self, name: str, **labels: object):  # type: ignore[override]
-        return _NULL_GAUGE
-
-    def histogram(self, name, buckets=DEFAULT_LATENCY_BUCKETS_S, **labels):  # type: ignore[override]
-        return _NULL_HISTOGRAM
-
-
-#: Shared disabled registry (the observer default).
-NULL_REGISTRY = NullMetricsRegistry()

@@ -31,7 +31,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "NULL_OBSERVER",
@@ -181,13 +181,9 @@ class Observer:
 
     enabled = True
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry | None = None,
-        spans: SpanRecorder | None = None,
-    ) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.spans = spans if spans is not None else SpanRecorder()
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
+        self.spans = SpanRecorder()
 
     def span(self, name: str, **attrs: Any):
         return self.spans.span(name, **attrs)
@@ -197,12 +193,13 @@ _NULL_CONTEXT = contextlib.nullcontext()
 
 
 class NullObserver(Observer):
-    """Disabled observer — every operation is a shared no-op."""
+    """Disabled observer: ``enabled`` is False and spans are a shared no-op.
+
+    Every metrics write site checks ``enabled`` first, so its registry
+    stays empty.
+    """
 
     enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(metrics=NULL_REGISTRY, spans=SpanRecorder())
 
     def span(self, name: str, **attrs: Any):
         return _NULL_CONTEXT

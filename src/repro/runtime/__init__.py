@@ -15,8 +15,8 @@ the bench runner — executes query batches through this package:
    once, producing one :class:`BackendReport` with the unified
    :class:`TimingBreakdown`.  Shards are fault-isolated: a
    failed shard becomes a structured :class:`ShardFailure` under the
-   scheduler's :class:`RetryPolicy` (attempts, deterministic backoff,
-   per-shard timeout), and the ``strict`` flag chooses between
+   scheduler's :class:`RetryPolicy` (attempts and a per-shard
+   timeout), and the ``strict`` flag chooses between
    raise-on-any-failure and a partial :class:`BatchOutcome` merged over
    the survivors;
 4. the **fault-injection wrapper** (:mod:`repro.runtime.faults`) makes

@@ -366,7 +366,6 @@ class FPGACycleBackend(Backend):
             result = sim.run(
                 shard.starts,
                 plan.n_steps,
-                max_cycles=plan.max_cycles,
                 trace=plan.trace,
                 query_ids=shard.query_ids(),
             )

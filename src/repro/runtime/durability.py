@@ -126,23 +126,22 @@ class RunCheckpoint:
 
         ``resume=True`` requires an existing, fingerprint-compatible
         checkpoint (anything else is a :class:`ConfigError` before any
-        shard executes); ``resume=False`` starts clean, discarding shard
-        files left by a previous run of the same directory.
+        shard executes); ``resume=False`` starts clean, discarding every
+        shard file left in the directory, whichever run wrote it.
         """
         directory = Path(directory)
         fingerprint = plan_fingerprint(plan, seed, config_hash)
         checkpoint = cls(directory, fingerprint)
         run_file = directory / RUN_FILE
-        existing = None
-        if run_file.exists():
-            try:
-                existing = read_json_artifact(run_file, kind="run-checkpoint")
-            except ArtifactCorruptionError as exc:
-                # The metadata is quarantined; the shard files cannot be
-                # trusted to belong to this plan, so start over.
-                logger.warning("checkpoint metadata unusable: %s", exc)
-                existing = None
         if resume:
+            existing = None
+            if run_file.exists():
+                try:
+                    existing = read_json_artifact(run_file, kind="run-checkpoint")
+                except ArtifactCorruptionError as exc:
+                    # The metadata is quarantined; the shard files cannot
+                    # be trusted to belong to this plan.
+                    logger.warning("checkpoint metadata unusable: %s", exc)
             if existing is None:
                 raise ConfigError(
                     f"cannot resume: {run_file} does not exist or is not a "
@@ -158,8 +157,7 @@ class RunCheckpoint:
                     f"arguments or start a fresh checkpoint directory"
                 )
             return checkpoint
-        if existing is None or existing.get("fingerprint") != fingerprint:
-            checkpoint._discard_shards()
+        checkpoint._discard_shards()
         from repro import __version__
 
         write_json_artifact(

@@ -69,8 +69,6 @@ class ExecutionPlan:
     total_queries: int
     shards: tuple[QueryShard, ...] = field(default=())
     record_latency: bool = True
-    #: Cycle budget forwarded to the cycle-accurate simulator.
-    max_cycles: int = 50_000_000
     #: Record pipeline events on backends that support it (``fpga-cycle``);
     #: the Chrome-trace exporter serializes them alongside runtime spans.
     trace: bool = False
@@ -114,7 +112,6 @@ def plan_run(
     max_sampled_queries: int = 4096,
     record_latency: bool = True,
     shards: int = 1,
-    max_cycles: int = 50_000_000,
     seed: int = 0,
     trace: bool = False,
 ) -> ExecutionPlan:
@@ -163,7 +160,6 @@ def plan_run(
             total_queries=total,
             shards=_partition(sampled, total, shard_count),
             record_latency=record_latency,
-            max_cycles=max_cycles,
             trace=trace,
         )
         logger.debug(

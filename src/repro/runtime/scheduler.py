@@ -13,10 +13,10 @@ the merged walk, so walks *and* modeled numbers are identical across all
 three modes, any shard layout, retries and checkpoint resume.
 
 A failed shard never aborts its siblings.  Each shard runs under the
-scheduler's :class:`RetryPolicy` (attempt budget, exponential backoff
-with deterministic jitter, optional per-attempt timeout) and a shard that
-exhausts its attempts becomes a structured :class:`ShardFailure` instead
-of an exception tearing down the pool.  What happens next is the
+scheduler's :class:`RetryPolicy` (attempt budget, optional per-attempt
+timeout; a retry starts at once) and a shard that exhausts its attempts
+becomes a structured :class:`ShardFailure` instead of an exception
+tearing down the pool.  What happens next is the
 ``strict`` flag's choice:
 
 * ``strict=True`` (default) — any failure raises
@@ -39,7 +39,6 @@ import multiprocessing
 import os
 import pickle
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field, replace
@@ -66,53 +65,23 @@ logger = logging.getLogger(__name__)
 #: Legal values of :attr:`BatchScheduler.mode`.
 EXECUTION_MODES = ("sequential", "thread", "process")
 
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(value: int) -> int:
-    """One SplitMix64 step — the repo-wide seed-mixing primitive."""
-    value = (value + 0x9E3779B97F4A7C15) & _MASK64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (value ^ (value >> 31)) & _MASK64
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """How the scheduler treats a shard attempt that fails.
 
-    Backoff before retry ``a`` (the second attempt is ``a = 2``) is
-
-        ``backoff_base_s * backoff_factor ** (a - 2)``
-
-    scaled down by up to ``jitter`` — the jitter fraction is derived from
-    ``(jitter_seed, shard, attempt)`` with SplitMix64, so two runs of the
-    same configuration wait exactly the same amount (wall-clock
-    reproducibility is a repo invariant; there is no ambient randomness).
+    A failed attempt is retried at once, up to ``max_attempts`` in all.
+    The only failures are in-process ones (injected faults, timeouts), so
+    waiting between attempts would buy nothing.
     """
 
     #: Total attempts per shard (1 = no retry).
     max_attempts: int = 1
-    #: Delay before the first retry; 0 retries immediately.
-    backoff_base_s: float = 0.0
-    #: Multiplier applied per additional retry (exponential backoff).
-    backoff_factor: float = 2.0
-    #: Fraction of the delay randomized away deterministically, in [0, 1].
-    jitter: float = 0.0
-    #: Seed of the deterministic jitter stream.
-    jitter_seed: int = 0
     #: Wall-clock budget of one shard attempt (None = unlimited).
     shard_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base_s < 0:
-            raise ConfigError(f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
-        if self.backoff_factor < 1:
-            raise ConfigError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigError(f"jitter must be in [0, 1], got {self.jitter}")
         if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
             raise ConfigError(
                 f"shard_timeout_s must be positive, got {self.shard_timeout_s}"
@@ -121,20 +90,6 @@ class RetryPolicy:
     @property
     def retries(self) -> int:
         return self.max_attempts - 1
-
-    def backoff_s(self, shard: int, attempt: int) -> float:
-        """Deterministic delay before ``attempt`` (>= 2) of ``shard``."""
-        if attempt <= 1 or self.backoff_base_s <= 0:
-            return 0.0
-        base = self.backoff_base_s * self.backoff_factor ** (attempt - 2)
-        if self.jitter <= 0:
-            return base
-        word = _splitmix64(
-            (self.jitter_seed & _MASK64)
-            ^ _splitmix64(shard * 0x10001 + attempt)
-        )
-        fraction = word / float(1 << 64)
-        return base * (1.0 - self.jitter * fraction)
 
 
 @dataclass(frozen=True)
@@ -285,8 +240,8 @@ class BatchScheduler:
         :class:`~repro.errors.ConfigError` at construction, not a
         mid-run ``ThreadPoolExecutor`` crash.
     retry:
-        Per-shard attempt budget, backoff and timeout (default: one
-        attempt, no timeout).
+        Per-shard attempt budget and timeout (default: one attempt, no
+        timeout).
     strict:
         ``True`` raises :class:`~repro.errors.ShardExecutionError` on any
         shard failure; ``False`` merges the survivors into a partial
@@ -420,9 +375,6 @@ class BatchScheduler:
                         record_retry(
                             obs.metrics, backend=backend.name, shard=shard.index
                         )
-                    delay = policy.backoff_s(shard.index, attempt)
-                    if delay > 0:
-                        time.sleep(delay)
                 try:
                     report = attempt_shard(shard, attempt)
                 except Exception as exc:  # noqa: BLE001 - isolation boundary
@@ -500,7 +452,7 @@ class BatchScheduler:
                     warmup.result()
                 process_pool = pool
                 try:
-                    # Retry loops (backoff, checkpointing) stay on parent
+                    # Retry loops (and checkpointing) stay on parent
                     # threads — one per shard; the process pool bounds the
                     # actual execution parallelism.
                     with ThreadPoolExecutor(

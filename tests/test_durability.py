@@ -445,6 +445,16 @@ class TestRunCheckpointResume:
         )
         assert sorted(checkpoint.load_completed()) == [0, 1]
 
+    def test_fresh_run_of_same_plan_starts_clean(self, engine, starts, tmp_path):
+        """Without ``resume``, even shards the same plan wrote are discarded."""
+        directory = tmp_path / "ck"
+        self._interrupt(engine, starts, directory)
+        assert len(list(directory.glob("shard-*.ckpt"))) == 3
+        fresh = engine.run(
+            UniformWalk(), 5, starts=starts, shards=4, checkpoint_dir=directory,
+        )
+        assert fresh.resumed_shards == 0
+
     def test_shard_kind_binds_fingerprint(self, engine, starts, tmp_path):
         """A shard file from another run fails verification, never merges."""
         a, b = tmp_path / "a", tmp_path / "b"

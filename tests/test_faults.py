@@ -1,4 +1,4 @@
-"""Fault tolerance: shard isolation, retry/backoff/timeout, degraded merges."""
+"""Fault tolerance: shard isolation, retry/timeout, degraded merges."""
 
 from __future__ import annotations
 
@@ -45,10 +45,6 @@ class TestRetryPolicy:
         [
             {"max_attempts": 0},
             {"max_attempts": -2},
-            {"backoff_base_s": -0.1},
-            {"backoff_factor": 0.5},
-            {"jitter": -0.1},
-            {"jitter": 1.5},
             {"shard_timeout_s": 0.0},
             {"shard_timeout_s": -1.0},
         ],
@@ -56,38 +52,6 @@ class TestRetryPolicy:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             RetryPolicy(**kwargs)
-
-    def test_backoff_is_exponential(self):
-        policy = RetryPolicy(max_attempts=4, backoff_base_s=0.5, backoff_factor=3.0)
-        assert policy.backoff_s(0, 1) == 0.0  # first attempt never waits
-        assert policy.backoff_s(0, 2) == pytest.approx(0.5)
-        assert policy.backoff_s(0, 3) == pytest.approx(1.5)
-        assert policy.backoff_s(0, 4) == pytest.approx(4.5)
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(
-            max_attempts=3, backoff_base_s=1.0, jitter=0.5, jitter_seed=42
-        )
-        twin = RetryPolicy(
-            max_attempts=3, backoff_base_s=1.0, jitter=0.5, jitter_seed=42
-        )
-        delays = {
-            (shard, attempt): policy.backoff_s(shard, attempt)
-            for shard in range(4)
-            for attempt in (2, 3)
-        }
-        for (shard, attempt), delay in delays.items():
-            # Same (seed, shard, attempt) => exactly the same wait.
-            assert twin.backoff_s(shard, attempt) == delay
-            base = 1.0 * 2.0 ** (attempt - 2)
-            assert base * 0.5 <= delay <= base
-        # ... and distinct coordinates get distinct jitter.
-        assert len(set(delays.values())) > 1
-
-    def test_different_seed_different_jitter(self):
-        a = RetryPolicy(max_attempts=2, backoff_base_s=1.0, jitter=1.0, jitter_seed=1)
-        b = RetryPolicy(max_attempts=2, backoff_base_s=1.0, jitter=1.0, jitter_seed=2)
-        assert a.backoff_s(0, 2) != b.backoff_s(0, 2)
 
 
 class TestInjectedFault:

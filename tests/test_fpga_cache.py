@@ -202,41 +202,3 @@ class TestPolicyQuality:
         degrees = np.arange(16) + 1
         hits = simulate_degree_aware(trace, degrees, 16)
         assert (~hits).sum() == 16  # one cold miss per vertex
-
-
-class TestStatsPublish:
-    def test_publish_is_snapshot_idempotent(self):
-        """Repeated publishes must not double-count into the counters."""
-        from repro.obs import MetricsRegistry
-
-        cache = DegreeAwareCache(4)
-        cache.access(0, degree=10)
-        cache.access(0, degree=10)
-        cache.access(1, degree=5)
-        metrics = MetricsRegistry()
-        cache.publish(metrics)
-        cache.publish(metrics)  # no new accesses -> no new counts
-        assert metrics.total("dac.accesses") == 3
-        assert metrics.total("dac.hits") == 1
-        assert metrics.total("dac.misses") == 2
-
-    def test_publish_adds_only_the_delta(self):
-        from repro.obs import MetricsRegistry
-
-        cache = DirectMappedCache(4)
-        metrics = MetricsRegistry()
-        cache.access(0)
-        cache.publish(metrics)
-        cache.access(0)  # hit
-        cache.access(4)  # miss, same line
-        cache.publish(metrics)
-        assert metrics.total("dac.accesses") == 3
-        assert metrics.total("dac.hits") == 1
-        assert metrics.total("dac.misses") == 2
-        # The gauge tracks the cache's own cumulative ratio.
-        (value,) = [
-            series.value
-            for series in metrics.series()
-            if series.name == "dac.hit_ratio"
-        ]
-        assert value == cache.hit_ratio

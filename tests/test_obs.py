@@ -9,10 +9,10 @@ import pytest
 
 from repro.cli import main
 from repro.core.api import LightRW
-from repro.fpga.cache import DegreeAwareCache, FIFOCache
+from repro.errors import ShardExecutionError
+from repro.fpga.cache import FIFOCache
 from repro.obs import (
     NULL_OBSERVER,
-    NULL_REGISTRY,
     MetricsRegistry,
     Observer,
     RunManifest,
@@ -20,7 +20,6 @@ from repro.obs import (
     chrome_trace,
     config_fingerprint,
     current_observer,
-    prometheus_text,
     read_jsonl,
     run_record,
     series_key,
@@ -29,6 +28,7 @@ from repro.obs import (
     use_observer,
 )
 from repro.obs.export import prometheus_from_snapshot
+from repro.runtime import InjectedFault, RetryPolicy
 from repro.walks.uniform import UniformWalk
 
 
@@ -82,13 +82,6 @@ class TestMetricsRegistry:
         assert snap["c{backend=fpga-model}"] == 1
         assert snap["g"] == 1.5
         assert len(reg) == 3
-
-    def test_null_registry_is_inert(self):
-        NULL_REGISTRY.counter("x", shard=1).inc(5)
-        NULL_REGISTRY.gauge("y").set(2.0)
-        NULL_REGISTRY.histogram("z").observe(1.0)
-        assert len(NULL_REGISTRY) == 0
-        assert NULL_REGISTRY.snapshot() == {}
 
 
 class TestSpans:
@@ -239,38 +232,44 @@ class TestBackendMetrics:
         (model,) = obs.spans.find("perf-model")
         assert model.parent_id == merge.span_id
 
-    def test_off_by_default_records_nothing(self, labeled_graph):
+    def test_off_by_default_records_nothing(self, labeled_graph, tmp_path):
+        """An unobserved run through every gated write site — shard
+        threads, an injected fault and its retry, checkpoint writes, a
+        shard failure and a resume — leaves the null observer empty."""
         engine = LightRW(labeled_graph, hardware_scale=64, seed=2)
-        result = engine.run(UniformWalk(), 4, max_sampled_queries=16)
+        common = dict(
+            max_sampled_queries=16, shards=4, mode="thread",
+            checkpoint_dir=tmp_path / "ck",
+        )
+        result = engine.run(
+            UniformWalk(), 4,
+            faults=[InjectedFault(shard=1, fail_attempts=1)],
+            retry=RetryPolicy(max_attempts=2),
+            **common,
+        )
+        assert result.ok  # attempt 2 of shard 1 succeeded
+        with pytest.raises(ShardExecutionError):
+            engine.run(
+                UniformWalk(), 4,
+                faults=[InjectedFault(shard=2, fail_attempts=-1)],
+                **common,
+            )
+        resumed = engine.run(UniformWalk(), 4, resume=True, **common)
+        assert resumed.resumed_shards == 3
         # No observer anywhere: ambient is the shared null sink.
         assert current_observer() is NULL_OBSERVER
         assert len(NULL_OBSERVER.metrics) == 0
+        assert NULL_OBSERVER.spans.finished() == []
         assert result.manifest is not None  # provenance is unconditional
 
 
 class TestCachePublish:
-    def test_mixin_feeds_registry(self):
-        reg = MetricsRegistry()
-        cache = DegreeAwareCache(4)
-        cache.access(1, 10)
-        cache.access(1, 10)
-        cache.access(5, 3)
-        cache.publish(reg, backend="ablation")
-        labels = {"backend": "ablation", "policy": "degree-aware"}
-        assert reg.get("dac.accesses", **labels) == 3
-        assert reg.get("dac.hits", **labels) == 1
-        assert reg.get("dac.misses", **labels) == 2
-        assert reg.get("dac.hit_ratio", **labels) == pytest.approx(1 / 3)
-
     def test_policies_share_accounting(self):
-        reg = MetricsRegistry()
         fifo = FIFOCache(4, ways=2)
         for v in (1, 2, 1, 3):
             fifo.access(v)
         assert fifo.hits + fifo.misses == fifo.accesses == 4
         assert fifo.hit_ratio + fifo.miss_ratio == pytest.approx(1.0)
-        fifo.publish(reg)
-        assert reg.get("dac.accesses", policy="fifo") == 4
 
 
 class TestExporters:
@@ -302,17 +301,16 @@ class TestExporters:
         assert "uniform" in text
         assert "hit_ratio" in text
 
-    def test_prometheus_text(self, observed_run):
-        __, obs = observed_run
-        text = prometheus_text(obs.metrics)
-        assert "# TYPE dac_hit_ratio gauge" in text
-        assert 'dac_hit_ratio{backend="fpga-model"}' in text
-        assert "# TYPE run_total_steps counter" in text
-
     def test_prometheus_from_snapshot_matches_names(self, observed_run):
         __, obs = observed_run
         text = prometheus_from_snapshot(obs.metrics.snapshot())
         assert 'dac_hit_ratio{backend="fpga-model"}' in text
+        assert 'run_total_steps{backend="fpga-model"' in text
+        assert any(
+            line.startswith("query_latency_seconds_bucket{")
+            and 'le="+Inf"' in line
+            for line in text.splitlines()
+        )
 
     def test_chrome_trace_from_spans(self, observed_run):
         __, obs = observed_run
