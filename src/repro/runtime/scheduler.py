@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import numbers
 import os
 import pickle
 import threading
@@ -80,9 +81,12 @@ class RetryPolicy:
     shard_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
+        if not isinstance(self.max_attempts, numbers.Integral) or self.max_attempts < 1:
+            raise ConfigError(
+                f"max_attempts must be an integer >= 1, got {self.max_attempts!r}"
+            )
+        # ``not > 0`` (rather than ``<= 0``) also rejects a NaN timeout.
+        if self.shard_timeout_s is not None and not self.shard_timeout_s > 0:
             raise ConfigError(
                 f"shard_timeout_s must be positive, got {self.shard_timeout_s}"
             )

@@ -45,6 +45,10 @@ class TestRetryPolicy:
         [
             {"max_attempts": 0},
             {"max_attempts": -2},
+            {"max_attempts": 2.5},
+            {"max_attempts": "2"},
+            {"shard_timeout_s": float("nan")},
+            {"shard_timeout_s": float("-inf")},
             {"shard_timeout_s": 0.0},
             {"shard_timeout_s": -1.0},
         ],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
@@ -300,6 +301,32 @@ class TestExporters:
         assert "fpga-model" in text
         assert "uniform" in text
         assert "hit_ratio" in text
+
+    def test_prometheus_text(self, observed_run):
+        """Every line is a well-formed sample and histogram buckets are
+        cumulative, ending at the series' count."""
+        __, obs = observed_run
+        snapshot = obs.metrics.snapshot()
+        text = prometheus_from_snapshot(snapshot)
+        assert text.endswith("\n")
+        sample = re.compile(r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? \S+$')
+        lines = text.splitlines()
+        assert lines and all(sample.match(line) for line in lines)
+        assert not any("." in line.split("{")[0].split(" ")[0] for line in lines)
+        buckets = [
+            int(line.rsplit(" ", 1)[1])
+            for line in lines
+            if line.startswith("query_latency_seconds_bucket{")
+        ]
+        assert buckets == sorted(buckets)
+        (count,) = [
+            int(line.rsplit(" ", 1)[1])
+            for line in lines
+            if line.startswith("query_latency_seconds_count")
+        ]
+        assert buckets[-1] == count > 0
+        assert any(line.startswith("query_latency_seconds_sum") for line in lines)
+        assert prometheus_from_snapshot({}) == ""
 
     def test_prometheus_from_snapshot_matches_names(self, observed_run):
         __, obs = observed_run
