@@ -8,17 +8,6 @@ and :mod:`repro.apps.link_prediction` assembles the full pipeline with the
 Figure 18 time breakdown.
 """
 
-from repro.apps.corpus import (
-    corpus_statistics,
-    load_walk_corpus,
-    save_walk_corpus,
-)
-from repro.apps.evaluation import (
-    community_separation,
-    embedding_report,
-    nearest_neighbor_label_accuracy,
-    precision_at_k,
-)
 from repro.apps.link_prediction import LinkPredictionPipeline, LinkPredictionReport
 from repro.apps.word2vec import SkipGramModel, train_skipgram
 
@@ -26,12 +15,5 @@ __all__ = [
     "LinkPredictionPipeline",
     "LinkPredictionReport",
     "SkipGramModel",
-    "community_separation",
-    "corpus_statistics",
-    "embedding_report",
-    "load_walk_corpus",
-    "nearest_neighbor_label_accuracy",
-    "precision_at_k",
-    "save_walk_corpus",
     "train_skipgram",
 ]

@@ -74,7 +74,7 @@ from repro.runtime import (
     resolve_backend,
 )
 from repro.walks.base import WalkAlgorithm
-from repro.walks.stepper import WalkSession
+from repro.walks.stepper import WalkSession, check_batch
 
 logger = logging.getLogger(__name__)
 
@@ -306,6 +306,10 @@ class LightRW:
             to an uninterrupted one.  Requires an
             existing, configuration-compatible checkpoint
             (:class:`~repro.errors.ConfigError` otherwise).
+
+        A malformed batch (a start that is not a vertex, a step count that
+        is not a non-negative integer, a graph the algorithm cannot walk)
+        raises before any shard runs, so it is never retried or dropped.
         """
         if resume and checkpoint_dir is None:
             raise ConfigError(
@@ -318,11 +322,12 @@ class LightRW:
         ):
             if starts is None:
                 starts = make_queries(self.graph, seed=self.seed)
+            starts = check_batch(self.graph, starts, n_steps, algorithm)
             plan = plan_run(
                 self.backend,
                 algorithm,
                 n_steps,
-                np.asarray(starts, dtype=np.int64),
+                starts,
                 max_sampled_queries=max_sampled_queries,
                 record_latency=record_latency,
                 shards=shards,

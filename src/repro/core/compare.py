@@ -43,11 +43,6 @@ class SpeedupReport:
         return self.thunderrw.kernel_s / self.lightrw.end_to_end_s
 
     @property
-    def kernel_speedup(self) -> float:
-        """Kernel-only speedup (excludes PCIe; Figures 16/17 use this)."""
-        return self.thunderrw.kernel_s / self.lightrw.kernel_s
-
-    @property
     def pwrs_on_cpu_speedup(self) -> float | None:
         """ThunderRW w/ PWRS relative to stock ThunderRW (Figure 14)."""
         if self.thunderrw_pwrs is None:

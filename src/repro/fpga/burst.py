@@ -81,10 +81,6 @@ class BurstPlan:
     interface_cycles: np.ndarray
 
     @property
-    def total_requests(self) -> int:
-        return int(self.n_long.sum() + self.n_short.sum())
-
-    @property
     def valid_ratio(self) -> float:
         loaded = float(self.loaded_bytes.sum())
         return float(self.valid_bytes.sum()) / loaded if loaded else 1.0

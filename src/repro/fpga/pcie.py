@@ -50,11 +50,3 @@ class PCIeModel:
 
     def round_trip_s(self, graph: CSRGraph, n_queries: int, total_steps: int) -> float:
         return self.host_to_board_s(graph, n_queries) + self.board_to_host_s(total_steps)
-
-    def overhead_fraction(
-        self, graph: CSRGraph, n_queries: int, total_steps: int, kernel_s: float
-    ) -> float:
-        """PCIe share of end-to-end time (the Table 4 percentages)."""
-        pcie = self.round_trip_s(graph, n_queries, total_steps)
-        total = pcie + kernel_s
-        return pcie / total if total > 0 else 0.0

@@ -74,23 +74,12 @@ class PipelineTracer:
             out.append(entry)
         return out
 
-    def query_timeline(self, qid: int) -> list[TraceEvent]:
-        """Everything that happened to one query, in cycle order."""
-        return self.filter(qid=qid)
-
     def counts(self) -> dict[str, int]:
         """Event-name histogram over the retained window."""
         histogram: dict[str, int] = {}
         for entry in self._events:
             histogram[entry.event] = histogram.get(entry.event, 0) + 1
         return histogram
-
-    def to_text(self, last: int | None = None) -> str:
-        """Human-readable dump of the last ``last`` events (all if None)."""
-        events = self.events()
-        if last is not None:
-            events = events[-last:]
-        return "\n".join(entry.format() for entry in events)
 
     def __len__(self) -> int:
         return len(self._events)

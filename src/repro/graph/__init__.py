@@ -19,7 +19,7 @@ from repro.graph.generators import (
     rmat_graph,
     star_graph,
 )
-from repro.graph.io import load_csr_npz, load_edge_list_text, save_csr_npz, save_edge_list_text
+from repro.graph.io import load_csr_npz, load_edge_list_text, save_csr_npz
 from repro.graph.labels import (
     assign_edge_labels,
     assign_random_weights,
@@ -38,11 +38,6 @@ from repro.graph.partition import (
 )
 from repro.graph.reorder import ReorderedGraph, degree_sort_reorder
 from repro.graph.stats import DegreeStats, degree_histogram, degree_stats
-from repro.graph.subgraph import (
-    SubgraphResult,
-    induced_subgraph,
-    largest_component_subgraph,
-)
 
 __all__ = [
     "CSRGraph",
@@ -58,7 +53,6 @@ __all__ = [
     "DegreeStats",
     "HeterogeneousSchema",
     "ReorderedGraph",
-    "SubgraphResult",
     "chung_lu_graph",
     "degree_histogram",
     "degree_sort_reorder",
@@ -69,8 +63,6 @@ __all__ = [
     "from_edge_list",
     "greedy_grow_partition",
     "hash_partition",
-    "induced_subgraph",
-    "largest_component_subgraph",
     "partition_quality",
     "range_partition",
     "load_csr_npz",
@@ -79,7 +71,6 @@ __all__ = [
     "path_graph",
     "rmat_graph",
     "save_csr_npz",
-    "save_edge_list_text",
     "star_graph",
     "symmetrize_edges",
 ]

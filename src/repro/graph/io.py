@@ -87,21 +87,6 @@ def load_csr_npz(path: str | Path) -> CSRGraph:
     )
 
 
-def save_edge_list_text(graph: CSRGraph, path: str | Path) -> None:
-    """Write ``src dst weight`` lines (weight column only when present)."""
-    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# {graph.name}: {graph.num_vertices} vertices, {graph.num_edges} edges\n")
-        if graph.edge_weights is not None:
-            for src, dst, weight in zip(
-                sources.tolist(), graph.col_index.tolist(), graph.edge_weights.tolist()
-            ):
-                handle.write(f"{src} {dst} {weight:.6g}\n")
-        else:
-            for src, dst in zip(sources.tolist(), graph.col_index.tolist()):
-                handle.write(f"{src} {dst}\n")
-
-
 def load_edge_list_text(
     path: str | Path,
     directed: bool = True,

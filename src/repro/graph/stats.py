@@ -81,53 +81,3 @@ def degree_histogram(graph: CSRGraph, log_base: float = 2.0) -> list[tuple[str, 
         rows.append((f"[{lower}, {upper})", count))
     return rows
 
-
-def largest_component_fraction(graph: CSRGraph) -> float:
-    """Share of vertices in the largest weakly connected component."""
-    import networkx as nx
-
-    if graph.num_vertices == 0:
-        return 0.0
-    nx_graph = graph.to_networkx().to_undirected()
-    largest = max(nx.connected_components(nx_graph), key=len)
-    return len(largest) / graph.num_vertices
-
-
-def reuse_distance_profile(trace: np.ndarray, max_distance: int = 1 << 20) -> np.ndarray:
-    """Reuse distances of a vertex access trace (for cache analysis).
-
-    Returns, for each access after the first occurrence of its vertex, the
-    number of *distinct* vertices accessed since the previous access to the
-    same vertex (the classic LRU stack distance, capped at
-    ``max_distance``).  Cold accesses are excluded.  O(T log T) via a
-    Fenwick tree.
-    """
-    trace = np.asarray(trace, dtype=np.int64)
-    last_position: dict[int, int] = {}
-    size = trace.size + 1
-    fenwick = np.zeros(size + 1, dtype=np.int64)
-
-    def update(i: int, delta: int) -> None:
-        i += 1
-        while i <= size:
-            fenwick[i] += delta
-            i += i & (-i)
-
-    def query(i: int) -> int:
-        i += 1
-        s = 0
-        while i > 0:
-            s += fenwick[i]
-            i -= i & (-i)
-        return int(s)
-
-    distances: list[int] = []
-    for position, vertex in enumerate(trace.tolist()):
-        previous = last_position.get(vertex)
-        if previous is not None:
-            distinct = query(position - 1) - query(previous)
-            distances.append(min(distinct, max_distance))
-            update(previous, -1)
-        update(position, 1)
-        last_position[vertex] = position
-    return np.asarray(distances, dtype=np.int64)

@@ -36,14 +36,12 @@ from repro.runtime.backends import (
     FPGACycleBackend,
     FPGAModelBackend,
     RuntimeContext,
-    backend_capabilities,
     backend_names,
     comparison_backends,
     create_backend,
     describe_backends,
     register_backend,
     resolve_backend,
-    unregister_backend,
 )
 from repro.runtime.durability import (
     RunCheckpoint,
@@ -94,7 +92,6 @@ __all__ = [
     "ShardFailure",
     "SweepCheckpoint",
     "TimingBreakdown",
-    "backend_capabilities",
     "backend_names",
     "comparison_backends",
     "create_backend",
@@ -103,5 +100,4 @@ __all__ = [
     "plan_run",
     "register_backend",
     "resolve_backend",
-    "unregister_backend",
 ]

@@ -226,11 +226,6 @@ def register_backend(cls: type[Backend]) -> type[Backend]:
     return cls
 
 
-def unregister_backend(name: str) -> None:
-    """Remove a backend (primarily for tests of custom registrations)."""
-    _REGISTRY.pop(name, None)
-
-
 def backend_names() -> tuple[str, ...]:
     """Registered backend names, in registration order."""
     return tuple(_REGISTRY)
@@ -244,10 +239,6 @@ def resolve_backend(name: str) -> type[Backend]:
         raise ConfigError(
             f"backend must be one of {backend_names()}, got {name!r}"
         ) from None
-
-
-def backend_capabilities(name: str) -> BackendCapabilities:
-    return resolve_backend(name).capabilities
 
 
 def create_backend(name: str, context: RuntimeContext) -> Backend:

@@ -19,6 +19,7 @@ a query's walk does not depend on which shard executed it.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,8 +126,8 @@ def plan_run(
         caps = backend_cls.capabilities
         starts = np.asarray(starts, dtype=np.int64)
 
-        if shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {shards}")
+        if not isinstance(shards, numbers.Integral) or shards < 1:
+            raise ConfigError(f"shards must be an integer >= 1, got {shards!r}")
         if shards > 1 and not caps.shardable:
             raise ConfigError(
                 f"backend {backend!r} walks and costs a batch in one pass and "

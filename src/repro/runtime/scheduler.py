@@ -240,9 +240,9 @@ class BatchScheduler:
     ----------
     max_workers:
         Pool width; defaults to ``cpu_count`` and is always clamped to
-        the shard count.  Zero or negative widths are a
+        the shard count.  A width that is not an integer >= 1 is a
         :class:`~repro.errors.ConfigError` at construction, not a
-        mid-run ``ThreadPoolExecutor`` crash.
+        mid-run pool crash.
     retry:
         Per-shard attempt budget and timeout (default: one attempt, no
         timeout).
@@ -266,9 +266,11 @@ class BatchScheduler:
     mode: str = "sequential"
 
     def __post_init__(self) -> None:
-        if self.max_workers is not None and self.max_workers < 1:
+        if self.max_workers is not None and (
+            not isinstance(self.max_workers, numbers.Integral) or self.max_workers < 1
+        ):
             raise ConfigError(
-                f"max_workers must be >= 1, got {self.max_workers}"
+                f"max_workers must be an integer >= 1, got {self.max_workers!r}"
             )
         if self.mode not in EXECUTION_MODES:
             raise ConfigError(

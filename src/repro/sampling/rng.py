@@ -18,9 +18,6 @@ Each lane therefore traverses its own SplitMix64 sequence; the finalizer is
 the standard avalanche function used by Java's ``SplittableRandom`` and
 passes BigCrush as a 64-bit mixer.  Independence across lanes is exercised
 directly by the test suite (chi-square per lane, cross-lane correlation).
-
-The module also provides :class:`XorShift128Plus`, a small classic PRNG used
-by a few tests as an unrelated reference generator.
 """
 
 from __future__ import annotations
@@ -31,10 +28,6 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-# Uniform floats are produced as uint32 / 2**32, matching the paper's
-# fixed-point convention r = r* / (2**32 - 1) up to one ulp.
-UINT32_SPAN = float(1 << 32)
 
 
 def splitmix64(value: int | np.ndarray) -> int | np.ndarray:
@@ -141,14 +134,6 @@ class ThundeRingRNG:
         raw = self._raw64(counters)
         return (raw >> np.uint64(32)).astype(np.uint32)
 
-    def uniform_block(self, n_cycles: int) -> np.ndarray:
-        """Return ``(n_cycles, n_lanes)`` float64 uniforms in ``[0, 1)``."""
-        return self.uint32_block(n_cycles).astype(np.float64) / UINT32_SPAN
-
-    def next_uniform(self) -> np.ndarray:
-        """Return one float64 uniform in ``[0, 1)`` per lane."""
-        return self.next_uint32().astype(np.float64) / UINT32_SPAN
-
     # -- state management --------------------------------------------------
 
     def fork(self, salt: int) -> "ThundeRingRNG":
@@ -165,35 +150,3 @@ class ThundeRingRNG:
             f"counter={self.counter})"
         )
 
-
-class XorShift128Plus:
-    """Classic xorshift128+ scalar generator.
-
-    Kept as an architecturally distinct reference PRNG: statistical tests of
-    :class:`ThundeRingRNG` compare against it, and it doubles as the "costly
-    shared state core" in documentation examples.
-    """
-
-    def __init__(self, seed: int = 1) -> None:
-        s = seed & 0xFFFFFFFFFFFFFFFF
-        if s == 0:
-            s = 0x853C49E6748FEA9B
-        self._s0 = splitmix64(s)
-        self._s1 = splitmix64(self._s0)
-        if self._s0 == 0 and self._s1 == 0:
-            self._s1 = 1
-
-    def next_uint64(self) -> int:
-        s1 = self._s0
-        s0 = self._s1
-        result = (s0 + s1) & 0xFFFFFFFFFFFFFFFF
-        self._s0 = s0
-        s1 ^= (s1 << 23) & 0xFFFFFFFFFFFFFFFF
-        self._s1 = s1 ^ s0 ^ (s1 >> 17) ^ (s0 >> 26)
-        return result
-
-    def next_uint32(self) -> int:
-        return self.next_uint64() >> 32
-
-    def next_uniform(self) -> float:
-        return self.next_uint32() / UINT32_SPAN

@@ -8,27 +8,7 @@ matching the convention of the paper (17.57 GB/s memory bandwidth).
 
 from __future__ import annotations
 
-KILO = 1_000
-MEGA = 1_000_000
 GIGA = 1_000_000_000
-
-KIB = 1 << 10
-MIB = 1 << 20
-GIB = 1 << 30
-
-
-def cycles_to_seconds(cycles: float, frequency_hz: float) -> float:
-    """Convert a cycle count at ``frequency_hz`` into seconds."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return cycles / frequency_hz
-
-
-def seconds_to_cycles(seconds: float, frequency_hz: float) -> float:
-    """Convert seconds into (fractional) cycles at ``frequency_hz``."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return seconds * frequency_hz
 
 
 def bandwidth_gbps(bytes_moved: float, seconds: float) -> float:
@@ -36,16 +16,6 @@ def bandwidth_gbps(bytes_moved: float, seconds: float) -> float:
     if seconds <= 0:
         raise ValueError(f"duration must be positive, got {seconds}")
     return bytes_moved / seconds / GIGA
-
-
-def format_bytes(num_bytes: float) -> str:
-    """Human-readable byte count, e.g. ``'68.9 MB'``."""
-    value = float(num_bytes)
-    for suffix in ("B", "KB", "MB", "GB", "TB"):
-        if abs(value) < 1000.0 or suffix == "TB":
-            return f"{value:.4g} {suffix}"
-        value /= 1000.0
-    raise AssertionError("unreachable")
 
 
 def format_rate(per_second: float, unit: str = "steps") -> str:

@@ -34,13 +34,6 @@ from repro.walks.stepper import (
     run_walks,
     walk_single_query,
 )
-from repro.walks.termination import (
-    FixedLength,
-    TargetLabel,
-    TargetVertex,
-    TerminationCondition,
-    apply_termination,
-)
 from repro.walks.uniform import UniformWalk
 from repro.walks.validation import (
     chi_square_step_test,
@@ -55,18 +48,13 @@ __all__ = [
     "Node2VecWalk",
     "PWRSSampler",
     "RestartWalk",
-    "FixedLength",
     "StaticWalk",
     "StepContext",
     "StepRecord",
-    "TargetLabel",
-    "TargetVertex",
-    "TerminationCondition",
     "UniformWalk",
     "WEIGHT_SCALE",
     "WalkAlgorithm",
     "WalkSession",
-    "apply_termination",
     "chi_square_step_test",
     "empirical_step_distribution",
     "exact_ppr",

@@ -93,6 +93,7 @@ lanes are shared by arrival order (see DESIGN.md).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,10 +223,6 @@ class PWRSSampler:
         self._counters[active_index] += (-(-degrees // self.k)).astype(np.uint64)
         return chosen
 
-    def fork_single(self, query_id: int) -> ThundeRingRNG:
-        """The scalar RNG a lone :class:`ParallelWRS` would use for a query."""
-        return ThundeRingRNG(self.k, derive_seed(self.seed, int(query_id)))
-
 
 class InverseTransformSampler:
     """ThunderRW-style sampling: build a CDF table, draw once per step.
@@ -314,6 +311,27 @@ class WalkSession:
         return self.paths[q, : self.lengths[q] + 1]
 
 
+def check_batch(
+    graph: CSRGraph, starts: np.ndarray, n_steps: int, algorithm: WalkAlgorithm
+) -> np.ndarray:
+    """Refuse a malformed query batch; return ``starts`` as int64.
+
+    ``starts`` must be 1-D vertex ids of ``graph``, ``n_steps`` a
+    non-negative integer, and the graph must carry what ``algorithm``
+    reads.  :meth:`repro.core.LightRW.run` calls this before planning, so
+    bad input fails once instead of inside every shard attempt.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    if starts.ndim != 1:
+        raise QueryError(f"starts must be 1-D, got shape {starts.shape}")
+    if starts.size and (starts.min() < 0 or starts.max() >= graph.num_vertices):
+        raise QueryError("start vertex out of range")
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise QueryError(f"n_steps must be a non-negative integer, got {n_steps!r}")
+    algorithm.validate_graph(graph)
+    return starts
+
+
 def run_walks(
     graph: CSRGraph,
     starts: np.ndarray,
@@ -343,15 +361,7 @@ def run_walks(
         shard's global ids here so a query's walk is independent of the
         shard layout.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    if starts.ndim != 1:
-        raise QueryError(f"starts must be 1-D, got shape {starts.shape}")
-    if starts.size and (starts.min() < 0 or starts.max() >= graph.num_vertices):
-        raise QueryError("start vertex out of range")
-    if n_steps < 0:
-        raise QueryError(f"n_steps must be non-negative, got {n_steps}")
-    algorithm.validate_graph(graph)
-
+    starts = check_batch(graph, starts, n_steps, algorithm)
     n_queries = starts.size
     if query_ids is None:
         query_ids = np.arange(n_queries, dtype=np.int64)
@@ -480,13 +490,9 @@ def walk_single_query(
     reproduces this path bit-for-bit — the equivalence test anchoring the
     vectorized engine to Algorithm 4.1.
     """
-    if not 0 <= start < graph.num_vertices:
-        raise QueryError("start vertex out of range")
-    if n_steps < 0:
-        raise QueryError(f"n_steps must be non-negative, got {n_steps}")
+    check_batch(graph, [start], n_steps, algorithm)
     if algorithm.restart_probability:
         raise QueryError("walk_single_query does not model restart; use run_walks")
-    algorithm.validate_graph(graph)
     rng = ThundeRingRNG(k, derive_seed(seed, query_id))
     sampler = ParallelWRS(k, rng)
     path = [int(start)]

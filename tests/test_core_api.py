@@ -159,7 +159,7 @@ class TestCompareEngines:
             include_pwrs_variant=True,
         )
         assert report.speedup > 0
-        assert report.kernel_speedup > 0
+        assert report.thunderrw.kernel_s > 0 and report.lightrw.kernel_s > 0
         assert report.pwrs_on_cpu_speedup is not None
         assert report.thunderrw_pwrs.sampler == "pwrs"
         assert report.thunderrw_pwrs.num_queries == report.lightrw.num_queries
@@ -170,7 +170,7 @@ class TestCompareEngines:
             labeled_graph, Node2VecWalk(), 10, hardware_scale=256,
             max_sampled_queries=64,
         )
-        assert report.kernel_speedup > 1.0
+        assert report.thunderrw.kernel_s > report.lightrw.kernel_s
 
     def test_no_pwrs_variant_by_default(self, labeled_graph):
         report = compare_engines(

@@ -1,17 +1,11 @@
-"""Walk-corpus persistence and the aggregate report generator."""
+"""The aggregate report generator."""
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.apps.corpus import (
-    corpus_statistics,
-    load_walk_corpus,
-    save_walk_corpus,
-)
 from repro.bench.common import ExperimentResult
 from repro.bench.report import (
     render_experiment,
@@ -19,63 +13,6 @@ from repro.bench.report import (
     text_bar_chart,
     write_report,
 )
-from repro.errors import QueryError
-
-
-class TestCorpus:
-    def test_round_trip(self, tmp_path):
-        paths = np.array([[0, 1, 2, -1], [3, 4, -1, -1], [5, -1, -1, -1]])
-        lengths = np.array([2, 1, 0])
-        file = tmp_path / "walks.txt"
-        written = save_walk_corpus(paths, lengths, file)
-        assert written == 2  # the zero-step walk is dropped by default
-        loaded_paths, loaded_lengths = load_walk_corpus(file)
-        np.testing.assert_array_equal(loaded_lengths, [2, 1])
-        np.testing.assert_array_equal(loaded_paths[0], [0, 1, 2])
-        np.testing.assert_array_equal(loaded_paths[1, :2], [3, 4])
-        assert loaded_paths[1, 2] == -1
-
-    def test_min_length_zero_keeps_singletons(self, tmp_path):
-        paths = np.array([[5, -1]])
-        file = tmp_path / "walks.txt"
-        assert save_walk_corpus(paths, np.array([0]), file, min_length=0) == 1
-        loaded, lengths = load_walk_corpus(file)
-        assert lengths[0] == 0
-
-    def test_empty_file(self, tmp_path):
-        file = tmp_path / "empty.txt"
-        file.write_text("\n\n")
-        paths, lengths = load_walk_corpus(file)
-        assert paths.shape[0] == 0
-
-    def test_malformed(self, tmp_path):
-        file = tmp_path / "bad.txt"
-        file.write_text("0 1 x\n")
-        with pytest.raises(QueryError, match="non-integer"):
-            load_walk_corpus(file)
-
-    def test_invalid_shapes(self, tmp_path):
-        with pytest.raises(QueryError):
-            save_walk_corpus(np.zeros(3), np.zeros(3), tmp_path / "x.txt")
-
-    def test_statistics(self):
-        paths = np.array([[0, 1, 2, -1], [0, 1, -1, -1]])
-        stats = corpus_statistics(paths, np.array([2, 1]))
-        assert stats["walks"] == 2
-        assert stats["tokens"] == 5
-        assert stats["mean_length"] == 1.5
-        assert stats["distinct_vertices"] == 3
-
-    def test_real_session_round_trip(self, labeled_graph, tmp_path):
-        from repro.walks import PWRSSampler, UniformWalk, run_walks
-
-        starts = labeled_graph.nonzero_degree_vertices()[:16]
-        session = run_walks(labeled_graph, starts, 6, UniformWalk(), PWRSSampler(8, 2))
-        file = tmp_path / "session.txt"
-        save_walk_corpus(session.paths, session.lengths, file)
-        paths, lengths = load_walk_corpus(file)
-        kept = session.lengths >= 1
-        np.testing.assert_array_equal(lengths, session.lengths[kept])
 
 
 class TestTextBarChart:

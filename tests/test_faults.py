@@ -10,7 +10,7 @@ import pytest
 from repro import LightRW, Observer
 from repro.cli import main as cli_main
 from repro.core.queries import make_queries
-from repro.errors import ConfigError, ShardExecutionError
+from repro.errors import ConfigError, QueryError, ShardExecutionError
 from repro.runtime import (
     BatchScheduler,
     FaultInjectionBackend,
@@ -85,7 +85,7 @@ class TestInjectedFault:
 
 
 class TestSchedulerConfig:
-    @pytest.mark.parametrize("workers", [0, -1, -8])
+    @pytest.mark.parametrize("workers", [0, -1, -8, 2.5, "2"])
     def test_invalid_max_workers_fails_at_construction(self, workers):
         with pytest.raises(ConfigError, match="max_workers"):
             BatchScheduler(mode="thread", max_workers=workers)
@@ -229,6 +229,27 @@ class TestRetry:
             faults=[InjectedFault(shard=1, fail_attempts=1)],
         )
         assert result.ok
+
+
+class TestMalformedBatch:
+    """Bad input is refused once, before any shard runs: never retried,
+    and never a degraded run that drops the valid queries."""
+
+    def test_out_of_range_start_raises_even_when_not_strict(self, engine, labeled_graph):
+        starts = [0, 1, 2, labeled_graph.num_vertices]
+        with pytest.raises(QueryError, match="out of range"):
+            engine.run(UniformWalk(), 3, starts=starts, shards=2, strict=False)
+
+    @pytest.mark.parametrize("n_steps", [-1, 2.5])
+    def test_bad_step_count_runs_no_shard(self, engine, starts, n_steps):
+        observer = Observer()
+        with pytest.raises(QueryError, match="n_steps"):
+            engine.run(
+                UniformWalk(), n_steps, starts=starts, shards=4,
+                retry=RetryPolicy(max_attempts=3), observer=observer,
+            )
+        assert observer.spans.find("shard") == []
+        assert observer.metrics.total("run.retries") == 0
 
 
 class TestTimeout:

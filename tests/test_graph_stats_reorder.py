@@ -11,12 +11,7 @@ from repro.graph.reorder import (
     hot_prefix_hit_ratio,
     reordering_cost_model,
 )
-from repro.graph.stats import (
-    degree_histogram,
-    degree_stats,
-    largest_component_fraction,
-    reuse_distance_profile,
-)
+from repro.graph.stats import degree_histogram, degree_stats
 
 
 class TestDegreeStats:
@@ -51,47 +46,6 @@ class TestHistogram:
         graph = chung_lu_graph(512, avg_degree=6, seed=2)
         rows = degree_histogram(graph)
         assert sum(count for __, count in rows) == graph.num_vertices
-
-
-class TestComponents:
-    def test_connected_cycle(self):
-        from repro.graph.generators import cycle_graph
-
-        assert largest_component_fraction(cycle_graph(8)) == 1.0
-
-    def test_disconnected(self):
-        from repro.graph.builders import from_edge_list
-
-        graph = from_edge_list(np.array([[0, 1]]), num_vertices=4)
-        assert largest_component_fraction(graph) == pytest.approx(0.5)
-
-
-class TestReuseDistance:
-    def test_simple_trace(self):
-        # Trace a b a: the second 'a' saw one distinct vertex since.
-        distances = reuse_distance_profile(np.array([0, 1, 0]))
-        np.testing.assert_array_equal(distances, [1])
-
-    def test_immediate_reuse(self):
-        distances = reuse_distance_profile(np.array([5, 5, 5]))
-        np.testing.assert_array_equal(distances, [0, 0])
-
-    def test_cold_only(self):
-        assert reuse_distance_profile(np.arange(10)).size == 0
-
-    def test_matches_bruteforce(self):
-        rng = np.random.default_rng(3)
-        trace = rng.integers(0, 12, size=200)
-        fast = reuse_distance_profile(trace)
-        # Brute force: distinct vertices between consecutive occurrences.
-        slow = []
-        last: dict[int, int] = {}
-        for position, vertex in enumerate(trace.tolist()):
-            if vertex in last:
-                window = trace[last[vertex] + 1 : position]
-                slow.append(len(set(window.tolist())))
-            last[vertex] = position
-        np.testing.assert_array_equal(fast, slow)
 
 
 class TestReorder:

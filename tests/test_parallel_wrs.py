@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from repro.errors import ConfigError
-from repro.sampling.parallel_wrs import ParallelWRS, integer_accept, parallel_wrs_sample
+from repro.sampling.parallel_wrs import ParallelWRS, integer_accept
 from repro.sampling.rng import ThundeRingRNG
 
 
@@ -111,28 +111,6 @@ class TestParallelWRSStateful:
         sampler.consume(np.arange(4), np.zeros(4, dtype=np.uint64))
         assert sampler.result() is None
 
-    def test_batchwise_equals_oneshot(self):
-        """Feeding batches reproduces the vectorized one-shot exactly."""
-        rng_data = np.random.default_rng(9)
-        for trial in range(50):
-            n = int(rng_data.integers(1, 70))
-            k = int(rng_data.choice([1, 2, 4, 8, 16]))
-            items = rng_data.integers(0, 1000, size=n)
-            weights = rng_data.integers(0, 500, size=n).astype(np.uint64)
-            one_shot, cycles = parallel_wrs_sample(
-                items, weights, k, ThundeRingRNG(k, seed=trial)
-            )
-            sampler = ParallelWRS(k, ThundeRingRNG(k, seed=trial))
-            for start in range(0, n, k):
-                chunk = slice(start, min(start + k, n))
-                sampler.consume(items[chunk], weights[chunk])
-            stateful = sampler.result()
-            assert cycles == -(-n // k)
-            if one_shot == -1:
-                assert stateful is None
-            else:
-                assert stateful == one_shot
-
     def test_reset_clears_reservoir_not_rng(self):
         rng = ThundeRingRNG(4, seed=3)
         sampler = ParallelWRS(4, rng)
@@ -143,17 +121,25 @@ class TestParallelWRSStateful:
         assert rng.counter == counter_before
 
 
+def _sample_stream(sampler: ParallelWRS, items: np.ndarray, weights: np.ndarray):
+    """Feed one whole stream to ``sampler``, ``k`` items per cycle."""
+    sampler.reset()
+    for start in range(0, items.size, sampler.k):
+        batch = slice(start, start + sampler.k)
+        sampler.consume(items[batch], weights[batch])
+    return sampler.result()
+
+
 class TestDistribution:
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_selection_probability_proportional_to_weight(self, k):
         weights = np.array([1, 3, 6, 10, 30], dtype=np.uint64)
         items = np.arange(weights.size)
-        rng = ThundeRingRNG(k, seed=101)
+        sampler = ParallelWRS(k, ThundeRingRNG(k, seed=101))
         counts = np.zeros(weights.size)
         n_trials = 30_000
         for _ in range(n_trials):
-            picked, __ = parallel_wrs_sample(items, weights, k, rng)
-            counts[picked] += 1
+            counts[_sample_stream(sampler, items, weights)] += 1
         expected = weights.astype(float) / weights.sum() * n_trials
         __, p_value = stats.chisquare(counts, expected)
         assert p_value > 1e-4, f"k={k}: counts {counts} vs expected {expected}"
@@ -164,11 +150,10 @@ class TestDistribution:
         items = np.arange(4)
         distributions = []
         for k in (1, 2, 8):
-            rng = ThundeRingRNG(k, seed=55)
+            sampler = ParallelWRS(k, ThundeRingRNG(k, seed=55))
             counts = np.zeros(4)
             for _ in range(20_000):
-                picked, __ = parallel_wrs_sample(items, weights, k, rng)
-                counts[picked] += 1
+                counts[_sample_stream(sampler, items, weights)] += 1
             distributions.append(counts)
         # Homogeneity test across k values.
         table = np.stack(distributions)

@@ -8,7 +8,6 @@ from scipy import stats
 
 from repro.sampling.rng import (
     ThundeRingRNG,
-    XorShift128Plus,
     derive_seed,
     splitmix64,
 )
@@ -43,6 +42,11 @@ class TestDeriveSeed:
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
 
 
+def _uniform_block(rng: ThundeRingRNG, n_cycles: int) -> np.ndarray:
+    """``(n_cycles, n_lanes)`` floats in ``[0, 1)``: the raw draws over 2^32."""
+    return rng.uint32_block(n_cycles) / 2**32
+
+
 class TestThundeRingRNG:
     def test_block_matches_scalar_path(self):
         a = ThundeRingRNG(8, seed=99)
@@ -75,7 +79,7 @@ class TestThundeRingRNG:
         assert not np.array_equal(rng.uint32_block(4), fork.uint32_block(4))
 
     def test_uniform_range(self):
-        uniforms = ThundeRingRNG(16, seed=3).uniform_block(100)
+        uniforms = _uniform_block(ThundeRingRNG(16, seed=3), 100)
         assert uniforms.min() >= 0.0
         assert uniforms.max() < 1.0
 
@@ -99,42 +103,17 @@ class TestThundeRingRNG:
     def test_cross_lane_independence(self):
         """Pairwise lane correlations are near zero."""
         rng = ThundeRingRNG(8, seed=13)
-        block = rng.uniform_block(5000)
+        block = _uniform_block(rng, 5000)
         corr = np.corrcoef(block.T)
         off_diagonal = corr[~np.eye(8, dtype=bool)]
         assert np.abs(off_diagonal).max() < 0.05
 
     def test_serial_correlation_within_lane(self):
         rng = ThundeRingRNG(2, seed=17)
-        series = rng.uniform_block(5000)[:, 0]
+        series = _uniform_block(rng, 5000)[:, 0]
         lagged = np.corrcoef(series[:-1], series[1:])[0, 1]
         assert abs(lagged) < 0.05
 
-
-class TestXorShift128Plus:
-    def test_deterministic(self):
-        a = XorShift128Plus(seed=5)
-        b = XorShift128Plus(seed=5)
-        assert [a.next_uint64() for _ in range(5)] == [b.next_uint64() for _ in range(5)]
-
-    def test_range(self):
-        rng = XorShift128Plus(seed=9)
-        for _ in range(100):
-            value = rng.next_uniform()
-            assert 0.0 <= value < 1.0
-
-    def test_zero_seed_handled(self):
-        rng = XorShift128Plus(seed=0)
-        outputs = {rng.next_uint64() for _ in range(10)}
-        assert len(outputs) == 10
-
-    def test_uniformity(self):
-        rng = XorShift128Plus(seed=21)
-        draws = np.array([rng.next_uint32() for _ in range(4000)])
-        buckets = np.bincount(draws >> 28, minlength=16)
-        __, p_value = stats.chisquare(buckets)
-        assert p_value > 1e-4
-
     def test_mean_is_half(self):
         rng = ThundeRingRNG(4, seed=23)
-        assert abs(rng.uniform_block(2000).mean() - 0.5) < 0.02
+        assert abs(_uniform_block(rng, 2000).mean() - 0.5) < 0.02

@@ -13,7 +13,6 @@ from repro.runtime import (
     BatchScheduler,
     FPGAModelBackend,
     RuntimeContext,
-    backend_capabilities,
     backend_names,
     comparison_backends,
     create_backend,
@@ -21,8 +20,8 @@ from repro.runtime import (
     plan_run,
     register_backend,
     resolve_backend,
-    unregister_backend,
 )
+from repro.runtime import backends
 from repro.runtime.timing import FPGAModelBreakdown, TimingBreakdown
 from repro.walks.node2vec import Node2VecWalk
 from repro.walks.ppr import RestartWalk
@@ -49,7 +48,10 @@ class TestRegistry:
         assert pairs["cpu-baseline"] == "ThunderRW"
         assert "fpga-cycle" not in pairs
 
-    def test_register_and_unregister_custom_backend(self, labeled_graph):
+    def test_register_and_unregister_custom_backend(self, labeled_graph, monkeypatch):
+        # Register into a copy of the registry; undo() restores the original.
+        monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
+
         @register_backend
         class EchoBackend(FPGAModelBackend):
             name = "test-echo"
@@ -57,16 +59,12 @@ class TestRegistry:
                 description="test double", system_label="Echo"
             )
 
-        try:
-            assert "test-echo" in backend_names()
-            engine = LightRW(
-                labeled_graph, backend="test-echo", hardware_scale=64, seed=3
-            )
-            result = engine.run(UniformWalk(), 4, max_sampled_queries=32)
-            assert result.backend == "test-echo"
-            assert result.total_steps > 0
-        finally:
-            unregister_backend("test-echo")
+        assert "test-echo" in backend_names()
+        engine = LightRW(labeled_graph, backend="test-echo", hardware_scale=64, seed=3)
+        result = engine.run(UniformWalk(), 4, max_sampled_queries=32)
+        assert result.backend == "test-echo"
+        assert result.total_steps > 0
+        monkeypatch.undo()
         with pytest.raises(ConfigError):
             resolve_backend("test-echo")
 
@@ -102,8 +100,9 @@ class TestPlanner:
 
     def test_invalid_shards(self, tiny_graph):
         starts = make_queries(tiny_graph, shuffle=False)
-        with pytest.raises(ConfigError, match="shards"):
-            plan_run("fpga-model", UniformWalk(), 3, starts, shards=0)
+        for shards in (0, -1, 2.5, "2"):
+            with pytest.raises(ConfigError, match="shards"):
+                plan_run("fpga-model", UniformWalk(), 3, starts, shards=shards)
 
     def test_unknown_backend(self, tiny_graph):
         starts = make_queries(tiny_graph, shuffle=False)
@@ -111,7 +110,7 @@ class TestPlanner:
             plan_run("warp", UniformWalk(), 3, starts)
 
     def test_cycle_batch_cap_fails_fast(self):
-        cap = backend_capabilities("fpga-cycle").max_batch_queries
+        cap = resolve_backend("fpga-cycle").capabilities.max_batch_queries
         starts = np.zeros(cap + 1, dtype=np.int64)
         with pytest.raises(ConfigError, match="capped"):
             plan_run("fpga-cycle", UniformWalk(), 2, starts)
@@ -142,7 +141,7 @@ class TestShardParity:
         starts = make_queries(labeled_graph, n_queries=24, seed=6)
         engine = LightRW(labeled_graph, backend=backend, hardware_scale=64, seed=6)
         one = engine.run(Node2VecWalk(), 6, starts=starts, shards=1)
-        if not backend_capabilities(backend).shardable:
+        if not resolve_backend(backend).capabilities.shardable:
             # The cycle simulator walks and costs in one pass: refused at
             # plan time instead of costing shards separately.
             with pytest.raises(ConfigError, match="single shard"):

@@ -48,8 +48,7 @@ class TestPipelineTracer:
         tracer.record(2, "m", "x")
         tracer.record(3, "m", "y", foo=7)
         assert tracer.counts() == {"x": 2, "y": 1}
-        text = tracer.to_text(last=1)
-        assert "foo=7" in text
+        assert "foo=7" in tracer.events()[-1].format()
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -98,7 +97,7 @@ class TestTracedSimulation:
 
     def test_query_timeline_ordered_and_complete(self, traced_run):
         result, starts = traced_run
-        timeline = result.tracer.query_timeline(0)
+        timeline = result.tracer.filter(qid=0)
         assert timeline[0].event == "query-admitted"
         assert timeline[-1].event == "query-finished"
         cycles = [e.cycle for e in timeline]

@@ -5,36 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro import errors
-from repro.units import (
-    GIGA,
-    bandwidth_gbps,
-    cycles_to_seconds,
-    format_bytes,
-    format_rate,
-    seconds_to_cycles,
-)
+from repro.units import GIGA, bandwidth_gbps, format_rate
 
 
 class TestUnits:
-    def test_cycle_conversions_roundtrip(self):
-        assert cycles_to_seconds(300e6, 300e6) == pytest.approx(1.0)
-        assert seconds_to_cycles(2.0, 300e6) == pytest.approx(600e6)
-        assert seconds_to_cycles(cycles_to_seconds(12345, 1e9), 1e9) == pytest.approx(12345)
-
-    def test_invalid_frequency(self):
-        with pytest.raises(ValueError):
-            cycles_to_seconds(1, 0)
-        with pytest.raises(ValueError):
-            seconds_to_cycles(1, -1)
-
     def test_bandwidth(self):
         assert bandwidth_gbps(17.57 * GIGA, 1.0) == pytest.approx(17.57)
         with pytest.raises(ValueError):
             bandwidth_gbps(1, 0)
-
-    def test_format_bytes(self):
-        assert format_bytes(512) == "512 B"
-        assert format_bytes(68_900_000 * 4) == "275.6 MB"
 
     def test_format_rate(self):
         assert "steps/s" in format_rate(4.8e7)

@@ -10,7 +10,6 @@ from repro.walks.stepper import (
     InverseTransformSampler,
     PWRSSampler,
     run_walks,
-    walk_single_query,
 )
 from repro.walks.uniform import UniformWalk
 
@@ -62,23 +61,6 @@ class TestSamplerStateAccounting:
         run_walks(graph, np.array([0, 1]), 4, UniformWalk(), sampler)
         assert int(sampler._counters[0]) == 4
         assert int(sampler._counters[1]) == 4
-
-    def test_fork_single_matches_scalar_reference(self, labeled_graph):
-        """PWRSSampler.fork_single hands out the exact scalar RNG."""
-        sampler = PWRSSampler(k=4, seed=11)
-        rng = sampler.fork_single(3)
-        path = walk_single_query(
-            labeled_graph,
-            int(labeled_graph.nonzero_degree_vertices()[3]),
-            4,
-            UniformWalk(),
-            k=4,
-            seed=11,
-            query_id=3,
-        )
-        # The forked RNG starts at counter zero like the reference walk's.
-        assert rng.counter == 0
-        assert path.size >= 1
 
 
 class TestDeterministicTopologies:
