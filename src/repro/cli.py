@@ -311,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="worker-pool width for the thread/process modes "
-             "(default: CPU count, clamped to the shard count)",
+             "(default: the CPUs this process may run on, clamped to the "
+             "shard count)",
     )
     walk.add_argument(
         "--retries", type=int, default=0, metavar="N",

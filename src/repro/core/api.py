@@ -268,14 +268,17 @@ class LightRW:
             Split the batch's walk into this many scheduler shards.  The
             merged walk is costed once, so walks *and* modeled numbers
             are identical for any shard count (per-query RNG is keyed by
-            global query id).
+            global query id).  A shard is the unit of retry and
+            checkpointing; consecutive shards are walked together.
         mode:
             Execution mode: ``"sequential"``, ``"thread"`` (a thread
             pool) or ``"process"`` (worker processes; the backend and
             plan must pickle).  Results are identical in every mode.
         workers:
             Worker-pool width for the thread/process modes (defaults to
-            the CPU count, clamped to the shard count).
+            the CPUs this process may run on, clamped to the shard count).
+            In thread mode each run of consecutive shards is walked as
+            at most this many groups, one walk call each.
         observer:
             Telemetry sink for this run (overrides the engine-level
             observer).

@@ -29,10 +29,6 @@ class TraceEvent:
     event: str
     info: dict = field(default_factory=dict)
 
-    def format(self) -> str:
-        details = " ".join(f"{k}={v}" for k, v in self.info.items())
-        return f"[{self.cycle:>8}] {self.module:<24} {self.event:<14} {details}"
-
 
 class PipelineTracer:
     """Bounded ring buffer of :class:`TraceEvent`.

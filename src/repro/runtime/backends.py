@@ -8,9 +8,10 @@ ThunderRW CPU baseline.  Each is a class with
 * declared :class:`BackendCapabilities` the query planner validates
   against, and
 * two stages: ``execute(plan, shard) -> BackendReport``, the **walk
-  stage** the batch scheduler calls once per shard (retried and
-  checkpointed), and ``cost(plan, session, total_queries)``, the **cost
-  stage** :meth:`Backend.merge` runs exactly once, on the merged walk.
+  stage** the batch scheduler calls once per group of consecutive shards
+  (falling back to per-shard, retried attempts), and
+  ``cost(plan, session, total_queries)``, the **cost stage**
+  :meth:`Backend.merge` runs exactly once, on the merged walk.
 
 Costing once is what keeps modeled numbers (kernel time, DAC hit ratio,
 ``total_steps``, latencies) independent of how the batch was sharded: the
@@ -129,7 +130,16 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def execute(self, plan: "ExecutionPlan", shard: "QueryShard") -> BackendReport:
-        """Walk stage: walk one shard; the report carries its session."""
+        """Walk stage: walk one shard; the report carries its session.
+
+        The scheduler may also hand in a *group*: one ``QueryShard``
+        spanning several consecutive plan shards, whose session it then
+        cuts back into per-shard reports with :func:`slice_session`.
+        """
+
+    def walks_alone(self, shard_index: int) -> bool:
+        """Must plan shard ``shard_index`` be walked by itself, never in a group?"""
+        return False
 
     def cost(
         self, plan: "ExecutionPlan", session: WalkSession, total_queries: int
@@ -158,6 +168,10 @@ def walked_report(backend: str, session: WalkSession) -> BackendReport:
     )
 
 
+#: Per-row fields of a :class:`StepRecord` besides ``query_ids``.
+_TRACED = ("curr", "degrees", "prev", "prev_degrees", "next_vertex")
+
+
 def merge_sessions(sessions: Sequence[WalkSession], graph: CSRGraph) -> WalkSession:
     """Stitch shard sessions into the session an unsharded walk records.
 
@@ -174,12 +188,11 @@ def merge_sessions(sessions: Sequence[WalkSession], graph: CSRGraph) -> WalkSess
     for offset, session in zip(offsets, sessions):
         for record in session.records:
             by_step.setdefault(record.step, []).append((offset, record))
-    traced = ("curr", "degrees", "prev", "prev_degrees", "next_vertex")
     records = [
         StepRecord(
             step=step,
             query_ids=np.concatenate([r.query_ids + o for o, r in parts]),
-            **{name: np.concatenate([getattr(r, name) for _, r in parts]) for name in traced},
+            **{name: np.concatenate([getattr(r, name) for _, r in parts]) for name in _TRACED},
         )
         for step, parts in sorted(by_step.items())
     ]
@@ -190,6 +203,35 @@ def merge_sessions(sessions: Sequence[WalkSession], graph: CSRGraph) -> WalkSess
         starts=np.concatenate([s.starts for s in sessions]),
         paths=np.concatenate([s.paths for s in sessions]),
         lengths=np.concatenate([s.lengths for s in sessions]),
+        records=records,
+    )
+
+
+def slice_session(session: WalkSession, lo: int, hi: int) -> WalkSession:
+    """Query rows ``[lo, hi)`` of ``session``: what walking them alone records.
+
+    The inverse of :func:`merge_sessions` for one contiguous row range.
+    Every step record is cut with ``searchsorted`` on its sorted
+    ``query_ids`` and rebased by ``-lo``; a step where none of the rows is
+    active is dropped, because a walk of those rows alone stops before it.
+    The result shares memory with ``session``.
+    """
+    records = []
+    for record in session.records:
+        a, b = np.searchsorted(record.query_ids, (lo, hi))
+        if a < b:
+            records.append(
+                StepRecord(
+                    step=record.step,
+                    query_ids=record.query_ids[a:b] - lo,
+                    **{name: getattr(record, name)[a:b] for name in _TRACED},
+                )
+            )
+    return replace(
+        session,
+        starts=session.starts[lo:hi],
+        paths=session.paths[lo:hi],
+        lengths=session.lengths[lo:hi],
         records=records,
     )
 

@@ -114,6 +114,15 @@ class FaultInjectionBackend(Backend):
         with self._lock:
             return self._attempts.get(shard, 0)
 
+    def walks_alone(self, shard_index: int) -> bool:
+        """A shard with a scheduled fault is never walked in a group.
+
+        Grouping would hide its attempts inside a sibling's call, so every
+        faulted shard — delay-only ones included — keeps the per-shard
+        attempt schedule documented above.
+        """
+        return shard_index in self._faults
+
     def prime_attempt(self, shard: int, attempt: int) -> None:
         """Fast-forward the per-shard attempt count to ``attempt - 1``.
 

@@ -1,23 +1,39 @@
 """Sharded batch scheduler: fault-isolated execution of a plan's shards.
 
-Large query batches are split into shards by the planner; the scheduler
-drives a backend's **walk stage** over them in one of three execution
-modes — sequentially by default, through a thread pool (the functional
-stepper releases the GIL inside its numpy kernels, so shards genuinely
-overlap), or through a *process pool*: each worker process
-materializes the pickled (backend, plan) payload once, executes shard
-attempts under its own observer, and ships the (stripped) report plus
-exported metrics/spans back for the parent to merge.  The walked shards
-then merge in shard order and the backend's **cost stage** runs once on
-the merged walk, so walks *and* modeled numbers are identical across all
-three modes, any shard layout, retries and checkpoint resume.
+Large query batches are split into shards by the planner.  A shard is the
+unit of retry, checkpointing and failure reporting, but not of walking:
+per-call overhead (Python, small numpy blocks, the GIL under threads)
+would then grow with the shard count.  So the scheduler cuts the pending
+shards into maximal runs of consecutive plan shards (a shard restored
+from a checkpoint ends a run), splits each run into at most ``workers``
+contiguous *groups* (one in sequential mode), and walks each group of two
+or more shards with **one** ``backend.execute`` call on a
+:class:`QueryShard` spanning them.  The walked session is then cut back
+by query rows into one walk report per member shard
+(:func:`~repro.runtime.backends.slice_session`), each checkpointed on its
+own.  Walks depend only on the global query id, so a member's part is
+exactly what walking it alone records.
 
-A failed shard never aborts its siblings.  Each shard runs under the
-scheduler's :class:`RetryPolicy` (attempt budget, optional per-attempt
-timeout; a retry starts at once) and a shard that exhausts its attempts
-becomes a structured :class:`ShardFailure` instead of an exception
-tearing down the pool.  What happens next is the
-``strict`` flag's choice:
+Groups run sequentially by default or on a thread pool (the functional
+stepper releases the GIL inside its numpy kernels, so groups genuinely
+overlap).  The third mode, a *process pool*, keeps per-shard attempts:
+each worker process materializes the pickled (backend, plan) payload
+once, executes shard attempts under its own observer, and ships the
+(stripped) report plus exported metrics/spans back for the parent to
+merge.  The walked shards then merge in shard order and the backend's
+**cost stage** runs once on the merged walk, so walks *and* modeled
+numbers are identical across all three modes, any shard layout, grouping,
+retries and checkpoint resume.
+
+A failed shard never aborts its siblings.  A group attempt that raises
+(or outlives ``shard_timeout_s`` times its member count) is not retried
+as a group: its members fall back to per-shard attempts, each with the
+full :class:`RetryPolicy` budget (a retry starts at once), and the failed
+group attempt is logged but not counted as a retry.  A shard the backend
+says ``walks_alone`` (one with an injected fault) never joins a group.  A
+shard that exhausts its attempts becomes a structured
+:class:`ShardFailure` instead of an exception tearing down the pool.
+What happens next is the ``strict`` flag's choice:
 
 * ``strict=True`` (default) — any failure raises
   :class:`~repro.errors.ShardExecutionError` carrying every
@@ -27,9 +43,11 @@ tearing down the pool.  What happens next is the
   :class:`BatchOutcome`.
 
 Retries and failures are recorded through the metrics registry
-(``run.retries``, ``run.shard_failures``) and each attempt is a ``shard``
-span, so degraded runs stay fully observable.  The modeled-hardware
-series are recorded once per run, from the cost stage.
+(``run.retries``, ``run.shard_failures``).  A group attempt is a
+``group`` span; every shard gets a ``shard`` span — per attempt when
+walked alone, or (``attempt=1``) around its split and checkpoint write
+right after its group's span — so degraded runs stay fully observable.  The
+modeled-hardware series are recorded once per run, from the cost stage.
 """
 
 from __future__ import annotations
@@ -43,6 +61,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field, replace
+from typing import Callable, Container
 
 import numpy as np
 
@@ -57,9 +76,16 @@ from repro.obs import (
     record_shard_failure,
     use_observer,
 )
-from repro.runtime.backends import Backend, BackendReport, strip_report
+from repro.runtime.backends import (
+    Backend,
+    BackendReport,
+    slice_session,
+    strip_report,
+    walked_report,
+)
 from repro.runtime.durability import RunCheckpoint
 from repro.runtime.plan import ExecutionPlan, QueryShard
+from repro.walks.stepper import WalkSession
 
 logger = logging.getLogger(__name__)
 
@@ -200,7 +226,7 @@ def _process_shard_attempt(index: int, attempt: int):
     )
 
 
-def _call_with_timeout(call, timeout_s: float, shard: int, attempt: int):
+def _call_with_timeout(call, timeout_s: float, what: str):
     """Run ``call`` on a watchdog thread, abandoning it past ``timeout_s``.
 
     Backends cannot be interrupted cooperatively mid-kernel, so a
@@ -218,18 +244,52 @@ def _call_with_timeout(call, timeout_s: float, shard: int, attempt: int):
         finally:
             done.set()
 
-    worker = threading.Thread(
-        target=target, name=f"shard-{shard}-attempt-{attempt}", daemon=True
-    )
+    worker = threading.Thread(target=target, name=what.replace(" ", "-"), daemon=True)
     worker.start()
     if not done.wait(timeout_s):
-        raise ShardTimeoutError(
-            f"shard {shard} attempt {attempt} exceeded the "
-            f"{timeout_s:.3g}s shard timeout"
-        )
+        raise ShardTimeoutError(f"{what} exceeded the {timeout_s:.3g}s shard timeout")
     if "error" in box:
         raise box["error"]
     return box["report"]
+
+
+def _pool_width() -> int:
+    """Default pool width: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:  # pragma: no cover - non-Linux hosts
+        return os.cpu_count() or 1
+
+
+def _walk_groups(
+    shards: tuple[QueryShard, ...],
+    restored: Container[int],
+    walks_alone: Callable[[int], bool],
+    width: int,
+) -> list[list[QueryShard]]:
+    """Cut the pending shards into the groups walked with one call each.
+
+    Pending shards form maximal runs of consecutive plan shards: a
+    restored shard ends a run, and a shard that ``walks_alone`` is a run
+    by itself.  Each run is split into at most ``width`` contiguous
+    groups of near-equal shard counts.  Groups come back in plan order.
+    """
+    runs: list[list[QueryShard]] = [[]]
+    for shard in shards:
+        if shard.index in restored:
+            runs.append([])
+        elif walks_alone(shard.index):
+            runs += [[shard], []]
+        else:
+            runs[-1].append(shard)
+    groups = []
+    for run in runs:
+        count = min(width, len(run))
+        groups += [
+            run[len(run) * i // count : len(run) * (i + 1) // count]
+            for i in range(count)
+        ]
+    return groups
 
 
 @dataclass
@@ -239,10 +299,12 @@ class BatchScheduler:
     Parameters
     ----------
     max_workers:
-        Pool width; defaults to ``cpu_count`` and is always clamped to
-        the shard count.  A width that is not an integer >= 1 is a
-        :class:`~repro.errors.ConfigError` at construction, not a
-        mid-run pool crash.
+        Pool width; defaults to the number of CPUs this process may run
+        on (its affinity mask) and is always clamped to the shard count.
+        In thread mode it also bounds how many groups a run of
+        consecutive shards is cut into.  A width that is not an integer
+        >= 1 is a :class:`~repro.errors.ConfigError` at construction,
+        not a mid-run pool crash.
     retry:
         Per-shard attempt budget and timeout (default: one attempt, no
         timeout).
@@ -252,7 +314,8 @@ class BatchScheduler:
         result and reports the failures on the :class:`BatchOutcome`.
     mode:
         Execution mode — ``"sequential"`` (default), ``"thread"`` or
-        ``"process"``.  ``"thread"`` runs shards on a thread pool.
+        ``"process"``.  ``"thread"`` runs groups of shards on a thread
+        pool.
         ``"process"`` fans shards out to a ``ProcessPoolExecutor``; the
         backend and plan must pickle (a :class:`~repro.errors.ConfigError`
         before any shard runs otherwise), and each worker's metrics/spans
@@ -287,9 +350,10 @@ class BatchScheduler:
 
         With a ``checkpoint``, shards already persisted in it are restored
         instead of re-executed, and every shard that completes here is
-        persisted the moment it finishes — so a killed process resumes at
-        the first unfinished shard and, because per-query RNG lanes are
-        keyed by global query id, merges to a byte-identical result.
+        persisted the moment its group (or its own attempt) finishes — so
+        a killed process resumes at the first unfinished group and,
+        because per-query RNG lanes are keyed by global query id, merges
+        to a byte-identical result.
         """
         shards = plan.shards
         if not shards:
@@ -370,8 +434,25 @@ class BatchScheduler:
             if policy.shard_timeout_s is None:
                 return call()
             return _call_with_timeout(
-                call, policy.shard_timeout_s, shard.index, attempt
+                call, policy.shard_timeout_s, f"shard {shard.index} attempt {attempt}"
             )
+
+        def save(shard: QueryShard, report: BackendReport) -> None:
+            if checkpoint is None:
+                return
+            try:
+                checkpoint.record_shard(shard.index, report)
+                if obs.enabled:
+                    record_checkpoint(
+                        obs.metrics, backend=backend.name, shard=shard.index
+                    )
+            except (OSError, TypeError, ValueError) as exc:
+                # A checkpoint that cannot be written costs resumability,
+                # never the run itself.
+                logger.warning(
+                    "failed to checkpoint shard %d: %s: %s",
+                    shard.index, type(exc).__name__, exc,
+                )
 
         def run_shard(shard: QueryShard) -> tuple[BackendReport | ShardFailure, int]:
             last: Exception | None = None
@@ -391,21 +472,7 @@ class BatchScheduler:
                         backend.name, type(exc).__name__, exc,
                     )
                 else:
-                    if checkpoint is not None:
-                        try:
-                            checkpoint.record_shard(shard.index, report)
-                            if obs.enabled:
-                                record_checkpoint(
-                                    obs.metrics, backend=backend.name,
-                                    shard=shard.index,
-                                )
-                        except (OSError, TypeError, ValueError) as exc:
-                            # A checkpoint that cannot be written costs
-                            # resumability, never the run itself.
-                            logger.warning(
-                                "failed to checkpoint shard %d: %s: %s",
-                                shard.index, type(exc).__name__, exc,
-                            )
+                    save(shard, report)
                     return report, attempt
             failure = ShardFailure(
                 shard=shard.index,
@@ -418,6 +485,65 @@ class BatchScheduler:
             )
             return failure, policy.max_attempts
 
+        def walk_group(members: list[QueryShard]) -> list[BackendReport]:
+            # One walk over the members' concatenated rows, cut back into
+            # one report (and checkpoint) per member.  Walks depend only
+            # on global query ids, so each part is what the member walks
+            # alone.
+            first = members[0]
+            group = QueryShard(
+                index=first.index,
+                offset=first.offset,
+                starts=np.concatenate([shard.starts for shard in members]),
+                total_queries=sum(shard.total_queries for shard in members),
+            )
+
+            def call() -> WalkSession:
+                with use_observer(obs), obs.span(
+                    "group", backend=backend.name, first=first.index,
+                    shards=len(members), queries=group.num_queries,
+                ):
+                    return backend.execute(plan, group).session
+
+            if policy.shard_timeout_s is None:
+                session = call()
+            else:
+                session = _call_with_timeout(
+                    call,
+                    policy.shard_timeout_s * len(members),
+                    f"group of shards {first.index}-{members[-1].index}",
+                )
+            reports = []
+            for shard in members:
+                with obs.span(
+                    "shard", backend=backend.name, shard=shard.index,
+                    queries=shard.num_queries, attempt=1,
+                ):
+                    lo = shard.offset - first.offset
+                    report = walked_report(
+                        backend.name,
+                        slice_session(session, lo, lo + shard.num_queries),
+                    )
+                    save(shard, report)
+                reports.append(report)
+            return reports
+
+        def run_group(
+            members: list[QueryShard],
+        ) -> list[tuple[BackendReport | ShardFailure, int]]:
+            if len(members) > 1:
+                try:
+                    return [(report, 1) for report in walk_group(members)]
+                except Exception as exc:  # noqa: BLE001 - isolation boundary
+                    # Not a retry: each member starts its own full budget.
+                    logger.warning(
+                        "group of shards %d-%d on %s failed, walking them one "
+                        "by one: %s: %s",
+                        members[0].index, members[-1].index, backend.name,
+                        type(exc).__name__, exc,
+                    )
+            return [run_shard(shard) for shard in members]
+
         pending = [shard for shard in shards if shard.index not in restored]
         if self.mode == "process" and len(pending) > 1:
             try:
@@ -428,8 +554,7 @@ class BatchScheduler:
                     f"processes ({type(exc).__name__}: {exc}); use "
                     f"mode='thread' or mode='sequential'"
                 ) from exc
-            requested = self.max_workers or (os.cpu_count() or 1)
-            workers = min(requested, len(pending))
+            workers = min(self.max_workers or _pool_width(), len(pending))
             logger.debug(
                 "executing %d shard(s) on %s via %d process worker(s)",
                 len(pending), backend.name, workers,
@@ -467,20 +592,22 @@ class BatchScheduler:
                         executed = list(coordinator.map(run_shard, pending))
                 finally:
                     process_pool = None
-        elif self.mode == "thread" and len(pending) > 1:
-            requested = self.max_workers or (os.cpu_count() or 1)
-            workers = min(requested, len(pending))
-            logger.debug(
-                "executing %d shard(s) on %s via %d worker(s)",
-                len(pending), backend.name, workers,
-            )
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                executed = list(pool.map(run_shard, pending))
         else:
+            workers = 1
+            if self.mode == "thread" and len(pending) > 1:
+                workers = min(self.max_workers or _pool_width(), len(pending))
+            groups = _walk_groups(shards, restored, backend.walks_alone, workers)
             logger.debug(
-                "executing %d shard(s) on %s sequentially", len(pending), backend.name
+                "executing %d shard(s) on %s as %d group(s) on %d worker(s)",
+                len(pending), backend.name, len(groups), workers,
             )
-            executed = [run_shard(shard) for shard in pending]
+            if workers > 1:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    grouped = list(pool.map(run_group, groups))
+            else:
+                grouped = [run_group(members) for members in groups]
+            # Groups list the pending shards in plan order.
+            executed = [outcome for outcomes in grouped for outcome in outcomes]
 
         # Stitch restored and freshly executed shards back into shard
         # order so the merge stays in global query-id order.

@@ -11,13 +11,6 @@ from __future__ import annotations
 GIGA = 1_000_000_000
 
 
-def bandwidth_gbps(bytes_moved: float, seconds: float) -> float:
-    """Achieved bandwidth in GB/s (1 GB = 1e9 bytes)."""
-    if seconds <= 0:
-        raise ValueError(f"duration must be positive, got {seconds}")
-    return bytes_moved / seconds / GIGA
-
-
 def format_rate(per_second: float, unit: str = "steps") -> str:
     """Human-readable rate, e.g. ``'4.8e+07 steps/s'``."""
     return f"{per_second:.3g} {unit}/s"

@@ -5,15 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro import errors
-from repro.units import GIGA, bandwidth_gbps, format_rate
+from repro.units import format_rate
 
 
 class TestUnits:
-    def test_bandwidth(self):
-        assert bandwidth_gbps(17.57 * GIGA, 1.0) == pytest.approx(17.57)
-        with pytest.raises(ValueError):
-            bandwidth_gbps(1, 0)
-
     def test_format_rate(self):
         assert "steps/s" in format_rate(4.8e7)
 
