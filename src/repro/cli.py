@@ -304,13 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     walk.add_argument(
         "--mode", choices=list(EXECUTION_MODES), default="sequential",
-        help="execution mode: 'thread' runs shards on a thread pool, "
-             "'process' on worker processes; results are identical in "
-             "every mode",
+        help="execution mode: 'thread' runs shards on a thread pool; "
+             "results are identical in both modes",
     )
     walk.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker-pool width for the thread/process modes "
+        help="worker-pool width of thread mode "
              "(default: the CPUs this process may run on, clamped to the "
              "shard count)",
     )

@@ -271,14 +271,13 @@ class LightRW:
             global query id).  A shard is the unit of retry and
             checkpointing; consecutive shards are walked together.
         mode:
-            Execution mode: ``"sequential"``, ``"thread"`` (a thread
-            pool) or ``"process"`` (worker processes; the backend and
-            plan must pickle).  Results are identical in every mode.
+            Execution mode: ``"sequential"`` or ``"thread"`` (a thread
+            pool).  Results are identical in both modes.
         workers:
-            Worker-pool width for the thread/process modes (defaults to
-            the CPUs this process may run on, clamped to the shard count).
-            In thread mode each run of consecutive shards is walked as
-            at most this many groups, one walk call each.
+            Worker-pool width of thread mode (defaults to the CPUs this
+            process may run on, clamped to the shard count).  Each run of
+            consecutive shards is walked as at most this many groups, one
+            walk call each.
         observer:
             Telemetry sink for this run (overrides the engine-level
             observer).

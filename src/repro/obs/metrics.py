@@ -212,64 +212,3 @@ class MetricsRegistry:
             else:
                 out[instrument.key] = instrument.value
         return out
-
-    # -- cross-process transfer ----------------------------------------------
-
-    def export_state(self) -> list[dict]:
-        """Structured dump of every series for :meth:`merge_state`.
-
-        The batch scheduler's process mode runs each shard under a fresh
-        worker-side registry; this is the picklable wire format the
-        worker sends back for the parent registry to fold in.
-        """
-        out: list[dict] = []
-        for instrument in self.series():
-            entry: dict[str, object] = {
-                "kind": instrument.kind,
-                "name": instrument.name,
-                "labels": dict(instrument.labels),
-            }
-            if isinstance(instrument, Histogram):
-                entry.update(
-                    buckets=list(instrument.buckets),
-                    counts=list(instrument.counts),
-                    sum=instrument.sum,
-                    count=instrument.count,
-                )
-            else:
-                entry["value"] = instrument.value
-            out.append(entry)
-        return out
-
-    def merge_state(self, entries: Iterable[dict]) -> None:
-        """Fold an :meth:`export_state` dump into this registry.
-
-        Counters accumulate, gauges take the incoming value (a worker's
-        gauge is the freshest write for its label set) and histograms
-        merge bucket-wise — mismatched bucket layouts are a
-        :class:`ValueError`, not a silent mis-merge.
-        """
-        for entry in entries:
-            kind = entry["kind"]
-            name = entry["name"]
-            labels = entry["labels"]
-            if kind == "counter":
-                self.counter(name, **labels).inc(entry["value"])
-            elif kind == "gauge":
-                self.gauge(name, **labels).set(entry["value"])
-            elif kind == "histogram":
-                buckets = tuple(float(b) for b in entry["buckets"])
-                hist = self.histogram(name, buckets=buckets, **labels)
-                with hist._lock:
-                    if hist.buckets != buckets:
-                        raise ValueError(
-                            f"histogram {hist.key!r} bucket mismatch: "
-                            f"{hist.buckets} vs {buckets}"
-                        )
-                    hist.counts = [
-                        a + b for a, b in zip(hist.counts, entry["counts"])
-                    ]
-                    hist.sum += entry["sum"]
-                    hist.count += entry["count"]
-            else:
-                raise ValueError(f"unknown instrument kind {kind!r}")

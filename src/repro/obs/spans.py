@@ -120,46 +120,6 @@ class SpanRecorder:
         with self._lock:
             return list(self._finished)
 
-    def adopt(
-        self,
-        records: list[SpanRecord],
-        *,
-        parent_id: int | None = None,
-        offset_s: float = 0.0,
-        thread: str | None = None,
-    ) -> None:
-        """Graft spans recorded by another recorder into this one.
-
-        The batch scheduler's process mode collects each worker's
-        finished spans and re-parents them here: every record gets a
-        fresh id from this recorder's sequence, roots hang under
-        ``parent_id`` (the parent-side shard span), and ``offset_s``
-        shifts the worker's epoch-relative starts onto this recorder's
-        timeline.  Internal parent/child links are preserved, and the
-        appended records stay in the worker's completion order so
-        :meth:`finished` keeps its children-before-parents invariant.
-        """
-        with self._lock:
-            idmap: dict[int, int] = {}
-            # Ids were handed out at span *creation* (parents before
-            # children), so mapping in old-id order keeps the new ids in
-            # the same creation order.
-            for record in sorted(records, key=lambda r: r.span_id):
-                idmap[record.span_id] = self._next_id
-                self._next_id += 1
-            for record in records:
-                self._finished.append(
-                    SpanRecord(
-                        span_id=idmap[record.span_id],
-                        name=record.name,
-                        start_s=record.start_s + offset_s,
-                        duration_s=record.duration_s,
-                        parent_id=idmap.get(record.parent_id, parent_id),
-                        thread=thread if thread is not None else record.thread,
-                        attrs=dict(record.attrs),
-                    )
-                )
-
     def find(self, name: str) -> list[SpanRecord]:
         return [s for s in self.finished() if s.name == name]
 

@@ -179,7 +179,7 @@ def merge_sessions(sessions: Sequence[WalkSession], graph: CSRGraph) -> WalkSess
     step's records in shard order, with rows rebased to the merged session,
     rebuilds exactly the records (and their order, which the cache models
     replay) of a one-shard run.  ``graph`` is attached to the result:
-    sessions that crossed a pickle boundary arrive without one.
+    sessions restored from a checkpoint arrive without one.
     """
     if len(sessions) == 1:
         return replace(sessions[0], graph=graph)
@@ -237,11 +237,11 @@ def slice_session(session: WalkSession, lo: int, hi: int) -> WalkSession:
 
 
 def strip_report(report: BackendReport) -> BackendReport:
-    """A shard report ready to cross a pickle boundary.
+    """A shard report ready to be pickled into a checkpoint.
 
-    Checkpoints and process-mode workers ship shard reports without the
-    session's graph (large, and the parent's own) or a cycle run's
-    pipeline tracer; :meth:`Backend.merge` re-attaches the context graph.
+    Checkpoints store shard reports without the session's graph (large,
+    and the engine's own) or a cycle run's pipeline tracer;
+    :meth:`Backend.merge` re-attaches the context graph.
     """
     if report.session is not None:
         report = replace(report, session=replace(report.session, graph=None))

@@ -123,28 +123,6 @@ class FaultInjectionBackend(Backend):
         """
         return shard_index in self._faults
 
-    def prime_attempt(self, shard: int, attempt: int) -> None:
-        """Fast-forward the per-shard attempt count to ``attempt - 1``.
-
-        In the scheduler's process mode a retry may land on a worker
-        process whose copy of this wrapper never saw the earlier
-        attempts; the scheduler primes the count so the injection
-        schedule stays identical to sequential execution.
-        """
-        with self._lock:
-            self._attempts[shard] = max(
-                self._attempts.get(shard, 0), attempt - 1
-            )
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_lock"]  # locks don't pickle; workers recreate their own
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     def execute(self, plan: "ExecutionPlan", shard: "QueryShard") -> BackendReport:
         fault = self._faults.get(shard.index)
         if fault is None:

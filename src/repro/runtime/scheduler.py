@@ -16,13 +16,9 @@ exactly what walking it alone records.
 
 Groups run sequentially by default or on a thread pool (the functional
 stepper releases the GIL inside its numpy kernels, so groups genuinely
-overlap).  The third mode, a *process pool*, keeps per-shard attempts:
-each worker process materializes the pickled (backend, plan) payload
-once, executes shard attempts under its own observer, and ships the
-(stripped) report plus exported metrics/spans back for the parent to
-merge.  The walked shards then merge in shard order and the backend's
+overlap).  The walked shards then merge in shard order and the backend's
 **cost stage** runs once on the merged walk, so walks *and* modeled
-numbers are identical across all three modes, any shard layout, grouping,
+numbers are identical across both modes, any shard layout, grouping,
 retries and checkpoint resume.
 
 A failed shard never aborts its siblings.  A group attempt that raises
@@ -53,13 +49,10 @@ modeled-hardware series are recorded once per run, from the cost stage.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import numbers
 import os
-import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Container
 
@@ -67,7 +60,6 @@ import numpy as np
 
 from repro.errors import ConfigError, ShardExecutionError, ShardTimeoutError
 from repro.obs import (
-    Observer,
     current_observer,
     record_breakdown,
     record_checkpoint,
@@ -80,7 +72,6 @@ from repro.runtime.backends import (
     Backend,
     BackendReport,
     slice_session,
-    strip_report,
     walked_report,
 )
 from repro.runtime.durability import RunCheckpoint
@@ -90,7 +81,7 @@ from repro.walks.stepper import WalkSession
 logger = logging.getLogger(__name__)
 
 #: Legal values of :attr:`BatchScheduler.mode`.
-EXECUTION_MODES = ("sequential", "thread", "process")
+EXECUTION_MODES = ("sequential", "thread")
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -103,7 +94,8 @@ class RetryPolicy:
 
     #: Total attempts per shard (1 = no retry).
     max_attempts: int = 1
-    #: Wall-clock budget of one shard attempt (None = unlimited).
+    #: Wall-clock budget of one shard attempt (None = unlimited); at most
+    #: ``threading.TIMEOUT_MAX``, the longest wait the watchdog can make.
     shard_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -111,10 +103,13 @@ class RetryPolicy:
             raise ConfigError(
                 f"max_attempts must be an integer >= 1, got {self.max_attempts!r}"
             )
-        # ``not > 0`` (rather than ``<= 0``) also rejects a NaN timeout.
-        if self.shard_timeout_s is not None and not self.shard_timeout_s > 0:
+        # A chained comparison is False for NaN, so it rejects that too.
+        if self.shard_timeout_s is not None and not (
+            0 < self.shard_timeout_s <= threading.TIMEOUT_MAX
+        ):
             raise ConfigError(
-                f"shard_timeout_s must be positive, got {self.shard_timeout_s}"
+                f"shard_timeout_s must be positive and at most "
+                f"{threading.TIMEOUT_MAX:.4g} s, got {self.shard_timeout_s}"
             )
 
     @property
@@ -174,65 +169,16 @@ class BatchOutcome:
         return not self.failures
 
 
-# -- process-mode worker protocol ---------------------------------------------
-#
-# A process-pool worker unpickles the (backend, plan) payload exactly once
-# (in its initializer) and then executes shard attempts against that
-# resident state, so per-attempt traffic is just two small integers out
-# and one shard report (plus the worker observer's exports) back.
-
-_WORKER_STATE: dict[str, object] = {}
-
-
-def _process_worker_init(payload: bytes) -> None:
-    """Pool-worker initializer: materialize the run state once per worker."""
-    backend, plan, observed = pickle.loads(payload)
-    _WORKER_STATE["backend"] = backend
-    _WORKER_STATE["plan"] = plan
-    _WORKER_STATE["observed"] = observed
-
-
-def _process_worker_ready() -> bool:
-    """No-op warmup task: forces a worker process to spawn."""
-    return True
-
-
-def _process_shard_attempt(index: int, attempt: int):
-    """Execute one shard attempt inside a pool worker.
-
-    Returns ``(report, metric_state, span_records)``: the worker runs
-    under a fresh :class:`~repro.obs.Observer` and ships the stripped
-    report with its exported metrics and finished spans back for the
-    parent to merge.
-    """
-    backend = _WORKER_STATE["backend"]
-    plan = _WORKER_STATE["plan"]
-    shard = next(s for s in plan.shards if s.index == index)
-    # Stateful wrappers (fault injection) track attempts per shard; a
-    # retry may land on a worker that never saw the earlier attempts, so
-    # let the wrapper fast-forward its count to the scheduler's.
-    prime = getattr(backend, "prime_attempt", None)
-    if prime is not None:
-        prime(index, attempt)
-    if not _WORKER_STATE["observed"]:
-        return strip_report(backend.execute(plan, shard)), [], []
-    worker_obs = Observer()
-    with use_observer(worker_obs):
-        report = backend.execute(plan, shard)
-    return (
-        strip_report(report),
-        worker_obs.metrics.export_state(),
-        worker_obs.spans.finished(),
-    )
-
-
-def _call_with_timeout(call, timeout_s: float, what: str):
+def _call_with_timeout(call, timeout_s: float | None, what: str):
     """Run ``call`` on a watchdog thread, abandoning it past ``timeout_s``.
 
-    Backends cannot be interrupted cooperatively mid-kernel, so a
-    timed-out attempt keeps running on its (daemon) thread while the
-    scheduler moves on — the standard thread-pool trade-off.
+    With no timeout, ``call`` runs on the calling thread.  Backends cannot
+    be interrupted cooperatively mid-kernel, so a timed-out attempt keeps
+    running on its (daemon) thread while the scheduler moves on — the
+    standard thread-pool trade-off.
     """
+    if timeout_s is None:
+        return call()
     box: dict[str, object] = {}
     done = threading.Event()
 
@@ -313,14 +259,9 @@ class BatchScheduler:
         shard failure; ``False`` merges the survivors into a partial
         result and reports the failures on the :class:`BatchOutcome`.
     mode:
-        Execution mode — ``"sequential"`` (default), ``"thread"`` or
-        ``"process"``.  ``"thread"`` runs groups of shards on a thread
-        pool.
-        ``"process"`` fans shards out to a ``ProcessPoolExecutor``; the
-        backend and plan must pickle (a :class:`~repro.errors.ConfigError`
-        before any shard runs otherwise), and each worker's metrics/spans
-        are merged back into the parent observer.  Walks and modeled
-        numbers are identical in every mode.
+        Execution mode — ``"sequential"`` (default) or ``"thread"``, which
+        runs groups of shards on a thread pool.  Walks and modeled numbers
+        are identical in both modes.
     """
 
     max_workers: int | None = None
@@ -380,47 +321,7 @@ class BatchScheduler:
                             obs.metrics, backend=backend.name, shard=index
                         )
 
-        # Assigned a live pool for the duration of process-mode execution;
-        # attempt_shard dispatches on it at call time.
-        process_pool: ProcessPoolExecutor | None = None
-
-        def attempt_shard_process(shard: QueryShard, attempt: int) -> BackendReport:
-            # The attempt runs in a pool worker under its own observer;
-            # the parent opens the shard span, waits, then grafts the
-            # worker's spans under it and folds its metric deltas in.
-            with use_observer(obs), obs.span(
-                "shard", backend=backend.name, shard=shard.index,
-                queries=shard.num_queries, attempt=attempt, mode="process",
-            ) as shard_span:
-                future = process_pool.submit(
-                    _process_shard_attempt, shard.index, attempt
-                )
-                try:
-                    report, metric_state, span_records = future.result(
-                        timeout=policy.shard_timeout_s
-                    )
-                except FuturesTimeoutError:
-                    # The worker keeps running its stale attempt (process
-                    # tasks cannot be interrupted); the retry queues
-                    # behind it — the same trade-off as the thread path.
-                    future.cancel()
-                    raise ShardTimeoutError(
-                        f"shard {shard.index} attempt {attempt} exceeded the "
-                        f"{policy.shard_timeout_s:.3g}s shard timeout"
-                    ) from None
-                if obs.enabled:
-                    obs.metrics.merge_state(metric_state)
-                    obs.spans.adopt(
-                        span_records,
-                        parent_id=shard_span.span_id,
-                        offset_s=shard_span.start_s,
-                    )
-            return report
-
         def attempt_shard(shard: QueryShard, attempt: int) -> BackendReport:
-            if process_pool is not None:
-                return attempt_shard_process(shard, attempt)
-
             def call() -> BackendReport:
                 # Worker threads start with a fresh context, so re-install
                 # the observer; spans opened by the backend then nest under
@@ -431,8 +332,6 @@ class BatchScheduler:
                 ):
                     return backend.execute(plan, shard)
 
-            if policy.shard_timeout_s is None:
-                return call()
             return _call_with_timeout(
                 call, policy.shard_timeout_s, f"shard {shard.index} attempt {attempt}"
             )
@@ -505,14 +404,12 @@ class BatchScheduler:
                 ):
                     return backend.execute(plan, group).session
 
-            if policy.shard_timeout_s is None:
-                session = call()
-            else:
-                session = _call_with_timeout(
-                    call,
-                    policy.shard_timeout_s * len(members),
-                    f"group of shards {first.index}-{members[-1].index}",
-                )
+            budget = policy.shard_timeout_s
+            if budget is not None:
+                budget = min(budget * len(members), threading.TIMEOUT_MAX)
+            session = _call_with_timeout(
+                call, budget, f"group of shards {first.index}-{members[-1].index}"
+            )
             reports = []
             for shard in members:
                 with obs.span(
@@ -545,77 +442,24 @@ class BatchScheduler:
             return [run_shard(shard) for shard in members]
 
         pending = [shard for shard in shards if shard.index not in restored]
-        if self.mode == "process" and len(pending) > 1:
-            try:
-                payload = pickle.dumps((backend, plan, obs.enabled))
-            except (pickle.PicklingError, TypeError, AttributeError) as exc:
-                raise ConfigError(
-                    f"backend {backend.name!r} cannot be sent to worker "
-                    f"processes ({type(exc).__name__}: {exc}); use "
-                    f"mode='thread' or mode='sequential'"
-                ) from exc
+        workers = 1
+        if self.mode == "thread" and len(pending) > 1:
             workers = min(self.max_workers or _pool_width(), len(pending))
-            logger.debug(
-                "executing %d shard(s) on %s via %d process worker(s)",
-                len(pending), backend.name, workers,
-            )
-            if obs.enabled:
-                obs.metrics.gauge(
-                    "run.process_workers", backend=backend.name
-                ).set(workers)
-            start_method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else None
-            )
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context(start_method),
-                initializer=_process_worker_init,
-                initargs=(payload,),
-            ) as pool:
-                # Spawn every worker from this thread before the retry
-                # coordinators start (forking from a multithreaded parent
-                # mid-run risks inheriting held locks).
-                for warmup in [
-                    pool.submit(_process_worker_ready) for _ in range(workers)
-                ]:
-                    warmup.result()
-                process_pool = pool
-                try:
-                    # Retry loops (and checkpointing) stay on parent
-                    # threads — one per shard; the process pool bounds the
-                    # actual execution parallelism.
-                    with ThreadPoolExecutor(
-                        max_workers=len(pending)
-                    ) as coordinator:
-                        executed = list(coordinator.map(run_shard, pending))
-                finally:
-                    process_pool = None
+        groups = _walk_groups(shards, restored, backend.walks_alone, workers)
+        logger.debug(
+            "executing %d shard(s) on %s as %d group(s) on %d worker(s)",
+            len(pending), backend.name, len(groups), workers,
+        )
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                grouped = list(pool.map(run_group, groups))
         else:
-            workers = 1
-            if self.mode == "thread" and len(pending) > 1:
-                workers = min(self.max_workers or _pool_width(), len(pending))
-            groups = _walk_groups(shards, restored, backend.walks_alone, workers)
-            logger.debug(
-                "executing %d shard(s) on %s as %d group(s) on %d worker(s)",
-                len(pending), backend.name, len(groups), workers,
-            )
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    grouped = list(pool.map(run_group, groups))
-            else:
-                grouped = [run_group(members) for members in groups]
-            # Groups list the pending shards in plan order.
-            executed = [outcome for outcomes in grouped for outcome in outcomes]
-
-        # Stitch restored and freshly executed shards back into shard
-        # order so the merge stays in global query-id order.
-        by_index = {shard.index: outcome for shard, outcome in zip(pending, executed)}
+            grouped = [run_group(members) for members in groups]
+        # Groups list the pending shards in plan order, so stitching them
+        # between the restored ones keeps the merge in global query-id order.
+        executed = iter([outcome for outcomes in grouped for outcome in outcomes])
         outcomes = [
-            (restored[shard.index], 0)
-            if shard.index in restored
-            else by_index[shard.index]
+            (restored[shard.index], 0) if shard.index in restored else next(executed)
             for shard in shards
         ]
 

@@ -333,23 +333,6 @@ class TestRunCheckpointResume:
         assert len(picked(base_obs)) > 0
         assert resumed_obs.metrics.total("run.resumed_shards") == 3
 
-    def test_process_mode_resume_is_byte_identical(self, engine, starts, tmp_path):
-        baseline = engine.run(UniformWalk(), 5, starts=starts, shards=4)
-        directory = tmp_path / "ck"
-        with pytest.raises(ShardExecutionError):
-            engine.run(
-                UniformWalk(), 5, starts=starts, shards=4, mode="process",
-                checkpoint_dir=directory,
-                faults=[InjectedFault(shard=2, fail_attempts=-1)],
-            )
-        resumed = engine.run(
-            UniformWalk(), 5, starts=starts, shards=4, mode="process",
-            checkpoint_dir=directory, resume=True,
-        )
-        assert resumed.resumed_shards == 3
-        np.testing.assert_array_equal(resumed.paths, baseline.paths)
-        np.testing.assert_array_equal(resumed.lengths, baseline.lengths)
-
     def test_resumed_manifest_equivalent_modulo_timing(self, engine, starts, tmp_path):
         baseline = engine.run(UniformWalk(), 5, starts=starts, shards=4)
         directory = tmp_path / "ck"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import logging
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from repro.cli import main as cli_main
 from repro.core.queries import make_queries
 from repro.errors import ConfigError, QueryError, ShardExecutionError
 from repro.runtime import (
+    EXECUTION_MODES,
     BatchScheduler,
     FaultInjectionBackend,
     InjectedFault,
@@ -51,6 +54,8 @@ class TestRetryPolicy:
             {"shard_timeout_s": float("-inf")},
             {"shard_timeout_s": 0.0},
             {"shard_timeout_s": -1.0},
+            {"shard_timeout_s": float("inf")},
+            {"shard_timeout_s": 1e10},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -85,6 +90,18 @@ class TestInjectedFault:
 
 
 class TestSchedulerConfig:
+    def test_modes_exported(self):
+        assert EXECUTION_MODES == ("sequential", "thread")
+
+    @pytest.mark.parametrize("mode", ["fibers", "process"])
+    def test_invalid_mode_rejected(self, mode):
+        with pytest.raises(ConfigError, match="'sequential', 'thread'"):
+            BatchScheduler(mode=mode)
+
+    def test_resolved_mode_defaults(self):
+        assert BatchScheduler().mode == "sequential"
+        assert BatchScheduler(mode="thread").mode == "thread"
+
     @pytest.mark.parametrize("workers", [0, -1, -8, 2.5, "2"])
     def test_invalid_max_workers_fails_at_construction(self, workers):
         with pytest.raises(ConfigError, match="max_workers"):
@@ -99,6 +116,16 @@ class TestSchedulerConfig:
         outcome = scheduler.execute(backend, plan)
         assert outcome.ok and outcome.retries == 0
         np.testing.assert_array_equal(outcome.report.paths, baseline.paths)
+
+    def test_cli_process_mode_rejected(self, tmp_path):
+        bundle = tmp_path / "g.npz"
+        assert cli_main(["generate", "rmat", str(bundle), "--vertices-log2", "7"]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([
+                "walk", str(bundle), "--algorithm", "uniform", "--length", "4",
+                "--queries", "16", "--shards", "2", "--mode", "process",
+            ])
+        assert excinfo.value.code != 0
 
 
 class TestStrictMode:
@@ -193,13 +220,14 @@ class TestDegradedMode:
 
 
 class TestRetry:
-    def test_transient_fault_retries_to_identical_walks(self, engine, starts):
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_transient_fault_retries_to_identical_walks(self, engine, starts, mode):
         """The tentpole determinism claim: per-query RNG keyed by global id
         means a retried shard reproduces byte-identical walks."""
         clean = engine.run(UniformWalk(), 6, starts=starts, shards=4)
         observer = Observer()
         retried = engine.run(
-            UniformWalk(), 6, starts=starts, shards=4,
+            UniformWalk(), 6, starts=starts, shards=4, mode=mode, workers=2,
             retry=RetryPolicy(max_attempts=2),
             faults=[InjectedFault(shard=2, fail_attempts=1)],
             observer=observer,
@@ -253,9 +281,11 @@ class TestMalformedBatch:
 
 
 class TestTimeout:
-    def test_slow_shard_times_out(self, engine, starts):
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_slow_shard_times_out(self, engine, starts, mode):
         result = engine.run(
             UniformWalk(), 4, starts=starts, shards=4, strict=False,
+            mode=mode, workers=2,
             retry=RetryPolicy(shard_timeout_s=0.05),
             faults=[InjectedFault(shard=0, fail_attempts=0, delay_s=1.0)],
         )
@@ -272,6 +302,23 @@ class TestTimeout:
         )
         assert timed.ok
         np.testing.assert_array_equal(timed.paths, clean.paths)
+
+    def test_longest_timeout_waits_out_a_slow_shard(self, engine, starts, caplog):
+        """A group's budget (timeout x members) is capped at the longest wait
+        the watchdog can make, so the largest legal timeout walks with no
+        failed attempt.  A failed group falls back to per-shard walks with
+        the same paths, so only its warning would show it."""
+        clean = engine.run(UniformWalk(), 4, starts=starts, shards=4)
+        caplog.set_level(logging.WARNING, logger="repro.runtime.scheduler")
+        timed = engine.run(
+            UniformWalk(), 4, starts=starts, shards=4,
+            retry=RetryPolicy(shard_timeout_s=threading.TIMEOUT_MAX),
+            faults=[InjectedFault(shard=3, fail_attempts=0, delay_s=0.2)],
+        )
+        assert timed.ok
+        np.testing.assert_array_equal(timed.paths, clean.paths)
+        np.testing.assert_array_equal(timed.lengths, clean.lengths)
+        assert [r.getMessage() for r in caplog.records] == []
 
 
 class TestCLI:

@@ -19,7 +19,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import chung_lu_graph
 from repro.graph.labels import assign_random_weights
 from repro.walks import Node2VecWalk
-from tests.helpers import assert_same_result
 
 
 def _graph() -> CSRGraph:
@@ -87,12 +86,3 @@ def test_staged_arrays_are_not_pickled():
     restored = pickle.loads(pickle.dumps(graph))
     assert not restored.col_index.flags.writeable
     np.testing.assert_array_equal(restored.edge_keys(), graph.edge_keys())
-
-
-def test_process_run_equals_sequential_run():
-    graph = _graph()
-    engine = LightRW(graph, hardware_scale=64, seed=4)
-    starts = make_queries(graph, n_queries=48, seed=4)
-    want = engine.run(Node2VecWalk(), 8, starts=starts)
-    got = engine.run(Node2VecWalk(), 8, starts=starts, shards=4, mode="process", workers=2)
-    assert_same_result(got, want, ignore=("manifest",))

@@ -400,93 +400,3 @@ class TestObservabilityCLI:
     def test_summarize_missing_file_fails(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["obs", "summarize", str(tmp_path / "absent.jsonl")])
-
-
-class TestCrossProcessMerge:
-    """export_state/merge_state: the scheduler's worker-to-parent bridge."""
-
-    def test_counter_gauge_histogram_round_trip(self):
-        src = MetricsRegistry()
-        src.counter("c", shard=1).inc(3)
-        src.gauge("g").set(2.5)
-        src.histogram("h", buckets=(1.0, 10.0)).observe_many([0.5, 5.0, 50.0])
-        dst = MetricsRegistry()
-        dst.counter("c", shard=1).inc(1)
-        dst.merge_state(src.export_state())
-        assert dst.get("c", shard=1) == 4  # counters add
-        assert dst.get("g") == 2.5  # gauges overwrite
-        merged = dst.snapshot()[series_key("h")]
-        assert merged["counts"] == [1, 1, 1]
-        assert merged["sum"] == pytest.approx(55.5)
-
-    def test_histogram_merges_into_existing_series(self):
-        src = MetricsRegistry()
-        src.histogram("h", buckets=(1.0, 10.0)).observe(0.5)
-        dst = MetricsRegistry()
-        dst.histogram("h", buckets=(1.0, 10.0)).observe(5.0)
-        dst.merge_state(src.export_state())
-        merged = dst.snapshot()[series_key("h")]
-        assert merged["counts"] == [1, 1, 0]
-        assert merged["count"] == 2
-
-    def test_histogram_bucket_mismatch_rejected(self):
-        src = MetricsRegistry()
-        src.histogram("h", buckets=(1.0, 10.0)).observe(0.5)
-        dst = MetricsRegistry()
-        dst.histogram("h", buckets=(2.0, 20.0)).observe(0.5)
-        with pytest.raises(ValueError, match="bucket"):
-            dst.merge_state(src.export_state())
-
-    def test_unknown_kind_rejected(self):
-        dst = MetricsRegistry()
-        with pytest.raises(ValueError, match="kind"):
-            dst.merge_state(
-                [{"kind": "meter", "name": "x", "labels": {}, "value": 1.0}]
-            )
-
-    def test_export_state_is_picklable_and_empty_for_fresh_registry(self):
-        import pickle
-
-        assert MetricsRegistry().export_state() == []
-        src = MetricsRegistry()
-        src.counter("c").inc()
-        assert pickle.loads(pickle.dumps(src.export_state())) == src.export_state()
-
-
-class TestSpanAdoption:
-    def test_adopt_remaps_ids_and_reparents(self):
-        worker = Observer()
-        with worker.span("outer"):
-            with worker.span("inner"):
-                pass
-        worker_records = worker.spans.finished()
-
-        parent = Observer()
-        with parent.span("shard") as shard_span:
-            pass
-        parent.spans.adopt(
-            worker_records, parent_id=shard_span.span_id, offset_s=10.0
-        )
-        finished = parent.spans.finished()
-        outer = next(r for r in finished if r.name == "outer")
-        inner = next(r for r in finished if r.name == "inner")
-        # Re-parented under the shard span, hierarchy preserved beneath it.
-        assert outer.parent_id == shard_span.span_id
-        assert inner.parent_id == outer.span_id
-        # Fresh ids: no collision with anything already in the parent.
-        ids = [r.span_id for r in finished]
-        assert len(ids) == len(set(ids))
-        # Timestamps shifted into the parent's clock domain.
-        src_outer = next(r for r in worker_records if r.name == "outer")
-        assert outer.start_s == pytest.approx(src_outer.start_s + 10.0)
-        assert outer.duration_s == src_outer.duration_s
-
-    def test_adopt_without_parent_keeps_roots(self):
-        worker = Observer()
-        with worker.span("root"):
-            pass
-        parent = Observer()
-        parent.spans.adopt(worker.spans.finished())
-        (root,) = parent.spans.finished()
-        assert root.name == "root"
-        assert root.parent_id is None
