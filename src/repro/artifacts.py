@@ -42,7 +42,7 @@ import tempfile
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NoReturn
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "atomic_write_text",
     "checked_record",
     "checksum_hex",
+    "corrupt",
     "load_npz_checked",
     "npz_checksum",
     "quarantine",
@@ -157,7 +158,7 @@ def quarantine(path: str | Path) -> Path | None:
     return target
 
 
-def _corrupt(path: Path, reason: str) -> None:
+def corrupt(path: Path, reason: str) -> NoReturn:
     """Quarantine ``path`` and raise the structured corruption error."""
     moved = quarantine(path)
     where = f" (quarantined to {moved})" if moved else ""
@@ -200,30 +201,30 @@ def read_json_artifact(path: str | Path, kind: str | None = None) -> dict:
     path = Path(path)
     text = path.read_text()  # missing file stays a FileNotFoundError
     if not text.strip():
-        _corrupt(path, "empty artifact file")
+        corrupt(path, "empty artifact file")
     try:
         envelope = json.loads(text)
     except json.JSONDecodeError:
-        _corrupt(path, "unparseable JSON (truncated or torn write)")
+        corrupt(path, "unparseable JSON (truncated or torn write)")
     if not isinstance(envelope, dict):
-        _corrupt(path, "artifact is not a JSON object")
+        corrupt(path, "artifact is not a JSON object")
     version = envelope.get("format_version")
     if not isinstance(version, int):
-        _corrupt(path, "missing format_version")
+        corrupt(path, "missing format_version")
     if version > ARTIFACT_VERSION:
         raise ConfigError(
             f"{path}: artifact format_version {version} is newer than this "
             f"library supports ({ARTIFACT_VERSION}); upgrade the library"
         )
     if kind is not None and envelope.get("kind") != kind:
-        _corrupt(
+        corrupt(
             path,
             f"artifact kind {envelope.get('kind')!r} where {kind!r} expected",
         )
     stored = envelope.get("checksum")
     payload = {k: v for k, v in envelope.items() if k not in _RESERVED_KEYS}
     if stored != checksum_hex(_canonical_json(payload)):
-        _corrupt(path, "content checksum mismatch")
+        corrupt(path, "content checksum mismatch")
     return payload
 
 
@@ -251,38 +252,38 @@ def read_binary_artifact(path: str | Path, kind: str | None = None) -> bytes:
     blob = path.read_bytes()  # missing file stays a FileNotFoundError
     prefix = len(_BINARY_MAGIC)
     if len(blob) < prefix + 4:
-        _corrupt(path, "truncated artifact (no header)")
+        corrupt(path, "truncated artifact (no header)")
     if blob[:prefix] != _BINARY_MAGIC:
-        _corrupt(path, "bad magic (not a repro binary artifact)")
+        corrupt(path, "bad magic (not a repro binary artifact)")
     header_len = int.from_bytes(blob[prefix : prefix + 4], "big")
     header_end = prefix + 4 + header_len
     if header_len <= 0 or len(blob) < header_end:
-        _corrupt(path, "truncated artifact header")
+        corrupt(path, "truncated artifact header")
     try:
         header = json.loads(blob[prefix + 4 : header_end])
     except json.JSONDecodeError:
-        _corrupt(path, "unparseable artifact header")
+        corrupt(path, "unparseable artifact header")
     version = header.get("format_version")
     if not isinstance(version, int):
-        _corrupt(path, "missing format_version")
+        corrupt(path, "missing format_version")
     if version > ARTIFACT_VERSION:
         raise ConfigError(
             f"{path}: artifact format_version {version} is newer than this "
             f"library supports ({ARTIFACT_VERSION}); upgrade the library"
         )
     if kind is not None and header.get("kind") != kind:
-        _corrupt(
+        corrupt(
             path,
             f"artifact kind {header.get('kind')!r} where {kind!r} expected",
         )
     payload = blob[header_end:]
     if len(payload) != header.get("size"):
-        _corrupt(
+        corrupt(
             path,
             f"payload truncated ({len(payload)} of {header.get('size')} bytes)",
         )
     if checksum_hex(payload) != header.get("checksum"):
-        _corrupt(path, "content checksum mismatch")
+        corrupt(path, "content checksum mismatch")
     return payload
 
 
@@ -350,20 +351,20 @@ def load_npz_checked(
     """
     path = Path(path)
     if path.stat().st_size == 0:  # missing file stays a FileNotFoundError
-        _corrupt(path, "zero-byte file")
+        corrupt(path, "zero-byte file")
     try:
         with np.load(str(path), allow_pickle=False) as bundle:
             arrays = {key: bundle[key] for key in bundle.files}
     except (
         zipfile.BadZipFile, zlib.error, ValueError, EOFError, KeyError, OSError,
     ) as exc:
-        _corrupt(path, f"unreadable NPZ ({type(exc).__name__}: {exc})")
+        corrupt(path, f"unreadable NPZ ({type(exc).__name__}: {exc})")
     if "checksum" in arrays:
         stored = str(arrays.pop("checksum"))
         if stored != npz_checksum(arrays):
-            _corrupt(path, "content checksum mismatch")
+            corrupt(path, "content checksum mismatch")
     elif require_checksum:
-        _corrupt(path, "missing checksum entry")
+        corrupt(path, "missing checksum entry")
     return arrays
 
 

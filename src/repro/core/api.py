@@ -36,6 +36,7 @@ and repackages the merged :class:`~repro.runtime.BackendReport` as a
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -197,6 +198,10 @@ class LightRW:
         observer: Observer | None = None,
     ) -> None:
         resolve_backend(backend)  # fail fast with the registered names
+        if not isinstance(hardware_scale, numbers.Integral) or hardware_scale < 1:
+            raise ConfigError(
+                f"hardware_scale must be an integer >= 1, got {hardware_scale!r}"
+            )
         self.graph = graph
         self.backend = backend
         self.seed = int(seed)

@@ -11,19 +11,17 @@ holding the hottest vertices with zero preprocessing.
 
 This module provides:
 
-* stateful single-access caches (:class:`DegreeAwareCache`,
-  :class:`DirectMappedCache`, :class:`LRUCache`, :class:`FIFOCache`) used
-  by the cycle simulator and the policy-ablation benchmarks, and
-* **exact vectorized trace simulations**
-  (:func:`simulate_degree_aware`, :func:`simulate_direct_mapped`,
-  :func:`simulate_lru`, :func:`simulate_fifo`) used by the fast model.
-  These are not approximations: a direct-mapped DAC line always holds the
+* stateful single-access caches: :class:`DegreeAwareCache` (the cycle
+  simulator's Neighbor Info Loader) and, for the policy ablation only,
+  :class:`DirectMappedCache`, :class:`LRUCache` and :class:`FIFOCache`;
+* **exact vectorized trace simulations** of the two direct-mapped
+  policies: :func:`simulate_degree_aware` (the analytic model and
+  Figure 11) and :func:`simulate_direct_mapped` (Figure 11's baseline).
+  These are not approximations: a DAC line always holds the
   highest-degree vertex accessed so far in its set (earliest-first on
   ties), so the hit/miss outcome of every access is a running-argmax
-  query, computable with one segmented max-scan; LRU hits are stack-depth
-  queries answered by offline dominance counting; FIFO residency is a
-  fixpoint over the insertion (miss) labeling that converges in at most
-  one pass per access.
+  query, computable with one segmented max-scan; a direct-mapped access
+  hits iff the previous access to its set was the same vertex.
 """
 
 from __future__ import annotations
@@ -232,238 +230,6 @@ def simulate_degree_aware(
 
     hits = np.zeros(trace.size, dtype=bool)
     hits[order] = hits_sorted
-    return hits
-
-
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """Stable ascending order of non-negative integer ``keys``.
-
-    NumPy's ``kind="stable"`` argsort is several times slower than the
-    default sort here, so when the range allows we make keys unique by
-    mixing in the position (``key * n + i``) and use the default sort —
-    bitwise identical to a stable sort, minus the cost.
-    """
-    n = keys.size
-    top = int(keys.max(initial=0))
-    if top < (1 << 62) // max(n, 1):
-        return np.argsort(keys * np.int64(n) + np.arange(n, dtype=np.int64))
-    return np.argsort(keys, kind="stable")
-
-
-def _set_segments(trace: np.ndarray, n_sets: int):
-    """Group a trace by cache set, preserving time order within each set.
-
-    Returns ``(order, sv, seg_id, local)`` where ``order`` sorts the trace
-    set-major (stable, so time order survives inside a set), ``sv`` is the
-    sorted vertex stream, ``seg_id`` numbers the set segments 0..S-1 along
-    the sorted array and ``local`` is each access's position within its
-    segment.  Sets use ``vertex % n_sets`` to mirror
-    :class:`_SetAssociativeCache` exactly.
-    """
-    sets = trace % np.int64(n_sets)
-    order = _stable_order(sets)
-    sv = trace[order]
-    ss = sets[order]
-    n = trace.size
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    seg_start[1:] = ss[1:] != ss[:-1]
-    seg_id = np.cumsum(seg_start) - 1
-    seg_first = np.nonzero(seg_start)[0]
-    local = np.arange(n, dtype=np.int64) - seg_first[seg_id]
-    return order, sv, seg_id, local
-
-
-def _previous_occurrence(sv: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """For each access, ``values`` at the previous access of the same vertex.
-
-    ``sv`` is the set-sorted vertex stream (time order within each vertex's
-    run); returns -1 where the vertex has no earlier occurrence.  Same-vertex
-    accesses land in the same set, so no segment bookkeeping is needed.
-    """
-    n = sv.size
-    vorder = _stable_order(sv)
-    pv = sv[vorder]
-    prev_sorted = np.full(n, -1, dtype=np.int64)
-    same = pv[1:] == pv[:-1]
-    prev_sorted[1:][same] = values[vorder[:-1]][same]
-    prev = np.empty(n, dtype=np.int64)
-    prev[vorder] = prev_sorted
-    return prev
-
-
-#: Tile width for the dominance counter's brute-force terms.
-_COUNT_TILE = 48
-
-
-def _count_earlier_less(keys: np.ndarray) -> np.ndarray:
-    """For each position ``i``: ``#{p < i : keys[p] < keys[i]}``.
-
-    ``keys`` must be pairwise distinct.  Offline dominance counting with a
-    two-level decomposition: positions are tiled into blocks of ``m`` and
-    key ranks into buckets of ``m``.  A pair (p < i, key_p < key_i) falls
-    into exactly one of
-
-    * *earlier block, smaller bucket* — read off a cumulative
-      block × bucket histogram (the bucket being smaller already implies
-      the key is);
-    * *earlier block, same bucket* — one triangular broadcast comparison
-      per bucket tile (elements of a bucket are contiguous in rank order);
-    * *same block* — one triangular broadcast comparison per block tile.
-
-    Everything is C-level array work: O(n·m) comparisons plus an
-    (n/m)² histogram, with m grown past :data:`_COUNT_TILE` for huge
-    traces to keep the histogram small.
-    """
-    n = keys.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    g = np.argsort(keys)  # unique keys: default sort is already stable
-    rank = np.empty(n, dtype=np.int64)
-    rank[g] = np.arange(n, dtype=np.int64)
-
-    m = _COUNT_TILE
-    while (n // m) ** 2 > 32 * n * m:
-        m *= 2
-    nrows = -(-n // m)
-    pad = nrows * m - n
-    block = np.arange(n, dtype=np.int64) // m
-    bucket = rank // m
-    tri = np.tri(m, k=-1, dtype=bool)
-
-    hist = np.bincount(block * nrows + bucket, minlength=nrows * nrows)
-    coarse = hist.reshape(nrows, nrows).astype(np.int32)
-    coarse.cumsum(axis=0, out=coarse)
-    coarse.cumsum(axis=1, out=coarse)
-    t1 = np.zeros(n, dtype=np.int64)
-    inner = (block > 0) & (bucket > 0)
-    t1[inner] = coarse[block[inner] - 1, bucket[inner] - 1]
-
-    # Same bucket, earlier block: bucket tiles are g reshaped row-wise
-    # (rank order within a row); padding gets block id n so it never
-    # counts as an earlier element.  int32 tiles halve the broadcast
-    # traffic (tile ids and ranks are far below 2^31).
-    gp = np.concatenate([g, np.full(pad, -1, dtype=np.int64)]).reshape(nrows, m)
-    blk = block[np.maximum(gp, 0)].astype(np.int32)
-    blk[gp < 0] = n
-    t2a_tile = ((blk[:, None, :] < blk[:, :, None]) & tri).sum(axis=2)
-    t2a = np.zeros(n, dtype=np.int64)
-    valid = gp >= 0
-    t2a[gp[valid]] = t2a_tile[valid]
-
-    # Same block, earlier position: block tiles are positions reshaped
-    # row-wise; padding gets rank n so it never counts.
-    rp = np.concatenate(
-        [rank.astype(np.int32), np.full(pad, n, dtype=np.int32)]
-    ).reshape(nrows, m)
-    t2b = ((rp[:, None, :] < rp[:, :, None]) & tri).sum(axis=2).reshape(-1)[:n]
-    return t1 + t2a + t2b
-
-
-def _check_ways(capacity: int, ways: int) -> None:
-    _check_capacity(capacity)
-    if ways <= 0 or capacity % ways:
-        raise ConfigError(f"ways ({ways}) must divide capacity ({capacity})")
-
-
-def simulate_lru(trace: np.ndarray, capacity: int, ways: int = 4) -> np.ndarray:
-    """Exact vectorized hit mask of a set-associative LRU cache.
-
-    Matches :class:`LRUCache` access for access.  A set-associative LRU
-    access hits iff the stack distance — the number of *distinct* vertices
-    touched in its set since the previous access to the same vertex — is
-    below the associativity.  With ``j`` the (set-local) position of that
-    previous access and ``C(i) = #{p < i in the set : prev(p) <= j}``, the
-    distinct count equals ``C(i) - (j + 1)``: an earlier access contributes
-    a distinct vertex in the window iff it is the *first* occurrence after
-    ``j``, i.e. its own previous occurrence is at or before ``j``.  So a
-    hit is simply ``C(i) <= j + ways``, and because prev-occurrence
-    positions are unique, one :func:`_count_earlier_less` pass over
-    segment-scoped keys answers every access at once.
-    """
-    _check_ways(capacity, ways)
-    trace = np.asarray(trace, dtype=np.int64)
-    n = trace.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    n_sets = capacity // ways
-    order, sv, seg_id, local = _set_segments(trace, n_sets)
-    idx = np.arange(n, dtype=np.int64)
-    prev_pos = _previous_occurrence(sv, idx)  # global set-sorted position
-    prev_local = np.where(prev_pos >= 0, local[np.maximum(prev_pos, 0)], -1)
-    # A first occurrence trivially satisfies "prev <= j", so C(i) splits
-    # into (first occurrences earlier in the segment) + (candidates
-    # earlier in the segment whose previous access is older than mine).
-    # Only the second term needs the dominance counter, and only over the
-    # repeat accesses — typically a fraction of the trace.
-    candidate = prev_pos >= 0
-    first = (~candidate).astype(np.int64)
-    ecum = np.cumsum(first) - first  # first occurrences strictly before i
-    counts = ecum - ecum[idx - local]  # ... within my own segment
-    # Segment-scoped unique keys for the candidate subproblem: earlier
-    # segments get strictly larger bases, so a cross-set pair never
-    # compares; prev positions are globally unique, so keys are too.
-    base = (np.int64(seg_id[-1] + 1) - seg_id) * np.int64(n + 1)
-    counts[candidate] += _count_earlier_less(base[candidate] + prev_pos[candidate])
-    hits_sorted = candidate & (counts <= prev_local + ways)
-    hits = np.zeros(n, dtype=bool)
-    hits[order] = hits_sorted
-    return hits
-
-
-def simulate_fifo(trace: np.ndarray, capacity: int, ways: int = 4) -> np.ndarray:
-    """Exact vectorized hit mask of a set-associative FIFO cache.
-
-    Matches :class:`FIFOCache` access for access.  FIFO hits do not touch
-    the queue, so an access hits iff fewer than ``ways`` *insertions*
-    (misses) happened in its set since the vertex's most recent miss.  That
-    makes the hit mask a fixpoint of the miss labeling; iterating from
-    all-miss converges because each access's label depends only on earlier
-    labels, so the correct prefix grows by at least one access per round
-    (worst case n rounds, in practice a handful).
-    """
-    _check_ways(capacity, ways)
-    trace = np.asarray(trace, dtype=np.int64)
-    n = trace.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    n_sets = capacity // ways
-    order, sv, _, _ = _set_segments(trace, n_sets)
-    idx = np.arange(n, dtype=np.int64)
-    vorder = _stable_order(sv)
-    chain_start = np.empty(n, dtype=bool)
-    chain_start[0] = True
-    chain_start[1:] = sv[vorder[1:]] != sv[vorder[:-1]]
-    chain_id = np.cumsum(chain_start) - 1
-    chain_span = np.int64(n + 1)
-
-    miss = np.ones(n, dtype=bool)
-    for _ in range(n + 1):
-        # Most recent same-vertex access currently labeled a miss, as a
-        # running max of "index if miss else -1" along each vertex chain
-        # (chain offsets keep the scan from leaking across vertices).
-        enc = np.where(miss[vorder], vorder, np.int64(-1))
-        shifted = np.empty(n, dtype=np.int64)
-        shifted[0] = -1
-        shifted[1:] = enc[:-1]
-        shifted[chain_start] = -1
-        run = np.maximum.accumulate(shifted + chain_id * chain_span)
-        prev_miss = np.empty(n, dtype=np.int64)
-        prev_miss[vorder] = run - chain_id * chain_span
-        # Insertions strictly between the previous miss q and this access:
-        # both live in the same contiguous set segment, so a global
-        # inclusive cumsum suffices.
-        cm = np.cumsum(miss)
-        has_prev = prev_miss >= 0
-        between = np.where(
-            has_prev, cm[np.maximum(idx - 1, 0)] - cm[np.maximum(prev_miss, 0)], 0
-        )
-        new_miss = ~(has_prev & (between < ways))
-        if np.array_equal(new_miss, miss):
-            break
-        miss = new_miss
-    hits = np.zeros(n, dtype=bool)
-    hits[order] = ~miss
     return hits
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.fpga.cache import DegreeAwareCache, DirectMappedCache, FIFOCache, LRUCache
+from repro.fpga.cache import DegreeAwareCache
 from repro.fpga.config import LightRWConfig
 from repro.fpga.sim.fifo import FIFO
 from repro.fpga.sim.module import Module
@@ -163,18 +163,10 @@ class DRAMChannelSim(Module):
         return not pending and not outstanding
 
 
-def _make_cache(config: LightRWConfig):
-    policy = config.cache_policy
-    capacity = config.scaled_cache_entries
-    if policy == "none":
+def _make_cache(config: LightRWConfig) -> DegreeAwareCache | None:
+    if config.cache_policy == "none":
         return None
-    if policy == "degree":
-        return DegreeAwareCache(capacity)
-    if policy == "direct":
-        return DirectMappedCache(capacity)
-    if policy == "lru":
-        return LRUCache(capacity)
-    return FIFOCache(capacity)
+    return DegreeAwareCache(config.scaled_cache_entries)
 
 
 class NeighborInfoLoader(Module):

@@ -34,12 +34,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.fpga.burst import plan_bursts
-from repro.fpga.cache import (
-    simulate_degree_aware,
-    simulate_direct_mapped,
-    simulate_fifo,
-    simulate_lru,
-)
+from repro.fpga.cache import simulate_degree_aware
 from repro.fpga.config import LightRWConfig
 from repro.fpga.wrs_sampler import WRSSamplerModel
 from repro.graph.csr import EDGE_RECORD_BYTES
@@ -166,30 +161,19 @@ class FPGAPerfModel:
         info lookup is adjacent to the current one in the stream.
         """
         if not self.algorithm.fetches_previous_neighbors or not np.any(needs_prev):
-            return curr, np.ones(curr.size, dtype=bool)
-        n = curr.size + int(needs_prev.sum())
-        trace = np.empty(n, dtype=np.int64)
-        is_primary = np.zeros(n, dtype=bool)
+            return curr
+        trace = np.empty(curr.size + int(needs_prev.sum()), dtype=np.int64)
         # Interleave: curr first, then (where needed) prev.
         widths = np.where(needs_prev, 2, 1)
         offsets = np.cumsum(widths) - widths
         trace[offsets] = curr
-        is_primary[offsets] = True
         trace[offsets[needs_prev] + 1] = prev[needs_prev]
-        return trace, is_primary
+        return trace
 
     def _cache_hits(self, trace: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-        policy = self.config.cache_policy
-        capacity = self.config.scaled_cache_entries
-        if policy == "none":
+        if self.config.cache_policy == "none":
             return np.zeros(trace.size, dtype=bool)
-        if policy == "degree":
-            return simulate_degree_aware(trace, degrees, capacity)
-        if policy == "direct":
-            return simulate_direct_mapped(trace, capacity)
-        if policy == "lru":
-            return simulate_lru(trace, capacity, ways=4)
-        return simulate_fifo(trace, capacity, ways=4)
+        return simulate_degree_aware(trace, degrees, self.config.scaled_cache_entries)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -249,7 +233,7 @@ class FPGAPerfModel:
             # previous-stream buffer unless the list overflowed it.
             i_needs_prev = (i_prev >= 0) & (i_dprev > prev_buffer)
 
-            trace, _ = self._row_trace(i_curr, i_prev, i_needs_prev)
+            trace = self._row_trace(i_curr, i_prev, i_needs_prev)
             hits = self._cache_hits(trace, graph_degrees)
             misses_total = int((~hits).sum())
             cache_accesses += trace.size

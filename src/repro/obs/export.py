@@ -28,10 +28,9 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from repro.artifacts import (
     atomic_write_text,
     checked_record,
-    quarantine,
+    corrupt,
     record_checksum_ok,
 )
-from repro.errors import ArtifactCorruptionError
 from repro.obs.spans import Observer, SpanRecord
 
 logger = logging.getLogger(__name__)
@@ -97,14 +96,6 @@ def append_jsonl(path: str | Path, record: dict) -> Path:
     return path
 
 
-def _corrupt_jsonl(path: Path, reason: str) -> None:
-    moved = quarantine(path)
-    where = f" (quarantined to {moved})" if moved else ""
-    raise ArtifactCorruptionError(
-        f"{path}: {reason}{where}", path=path, quarantine_path=moved
-    )
-
-
 def read_jsonl(path: str | Path) -> list[dict]:
     """Read and verify JSONL records (``checksum`` keys stripped).
 
@@ -131,11 +122,11 @@ def read_jsonl(path: str | Path) -> list[dict]:
                     path, number,
                 )
                 continue
-            _corrupt_jsonl(path, f"line {number}: unparseable JSON mid-file")
+            corrupt(path, f"line {number}: unparseable JSON mid-file")
         if not isinstance(record, dict):
-            _corrupt_jsonl(path, f"line {number}: record is not a JSON object")
+            corrupt(path, f"line {number}: record is not a JSON object")
         if record_checksum_ok(record) is False:
-            _corrupt_jsonl(path, f"line {number}: record checksum mismatch")
+            corrupt(path, f"line {number}: record checksum mismatch")
         records.append({k: v for k, v in record.items() if k != "checksum"})
     return records
 

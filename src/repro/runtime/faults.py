@@ -21,6 +21,8 @@ and ``run.shard_failures`` series.
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 import time
 from dataclasses import dataclass
@@ -62,14 +64,19 @@ class InjectedFault:
     message: str = "injected fault"
 
     def __post_init__(self) -> None:
-        if self.shard < 0:
-            raise ConfigError(f"fault shard must be >= 0, got {self.shard}")
-        if self.fail_attempts < -1:
+        if not isinstance(self.shard, numbers.Integral) or self.shard < 0:
+            raise ConfigError(f"fault shard must be an integer >= 0, got {self.shard!r}")
+        if not isinstance(self.fail_attempts, numbers.Integral) or self.fail_attempts < -1:
             raise ConfigError(
-                f"fail_attempts must be >= -1 (-1 = always), got {self.fail_attempts}"
+                "fail_attempts must be an integer >= -1 (-1 = always), "
+                f"got {self.fail_attempts!r}"
             )
-        if self.delay_s < 0:
-            raise ConfigError(f"delay_s must be >= 0, got {self.delay_s}")
+        if not (
+            isinstance(self.delay_s, numbers.Real)
+            and math.isfinite(self.delay_s)
+            and self.delay_s >= 0
+        ):
+            raise ConfigError(f"delay_s must be finite and >= 0, got {self.delay_s!r}")
 
     @property
     def permanent(self) -> bool:

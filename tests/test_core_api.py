@@ -90,6 +90,12 @@ class TestLightRWFacade:
         with pytest.raises(ConfigError):
             LightRW(labeled_graph, backend="gpu")
 
+    @pytest.mark.parametrize("scale", [0, -3, 2.5, "64"])
+    def test_invalid_hardware_scale(self, labeled_graph, scale):
+        """A scale the model cannot apply is refused, not silently ignored."""
+        with pytest.raises(ConfigError, match="hardware_scale"):
+            LightRW(labeled_graph, hardware_scale=scale)
+
     @pytest.mark.parametrize("backend", ["fpga-model", "cpu-baseline"])
     def test_run_defaults(self, labeled_graph, backend):
         engine = LightRW(labeled_graph, backend=backend, hardware_scale=64, seed=2)

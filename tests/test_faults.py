@@ -75,7 +75,15 @@ class TestInjectedFault:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"shard": -1}, {"shard": 0, "fail_attempts": -2}, {"shard": 0, "delay_s": -1}],
+        [
+            {"shard": -1},
+            {"shard": 0, "fail_attempts": -2},
+            {"shard": 0, "delay_s": -1},
+            {"shard": 1.5},
+            {"shard": 0, "fail_attempts": 1.5},
+            {"shard": 0, "delay_s": float("inf")},
+            {"shard": 0, "delay_s": float("nan")},
+        ],
     )
     def test_invalid_fault_rejected(self, kwargs):
         with pytest.raises(ConfigError):

@@ -18,38 +18,53 @@ class TestValidation:
         assert config.cache_entries == PAPER_CACHE_ENTRIES == 4096
         assert config.strategy.label == "b1+b32"
 
-    @pytest.mark.parametrize("k", [0, 3, 12, -4])
+    @pytest.mark.parametrize("k", [0, 3, 12, -4, 2.0, "16"])
     def test_k_power_of_two(self, k):
         with pytest.raises(ConfigError):
             LightRWConfig(k=k)
 
     def test_cache_power_of_two(self):
-        with pytest.raises(ConfigError):
-            LightRWConfig(cache_entries=1000)
+        for entries in (1000, 0, 1024.0):
+            with pytest.raises(ConfigError):
+                LightRWConfig(cache_entries=entries)
 
     def test_positive_frequency(self):
-        with pytest.raises(ConfigError):
-            LightRWConfig(frequency_hz=0)
+        for frequency in (0, -1.0, float("nan"), float("inf"), "300e6"):
+            with pytest.raises(ConfigError, match="frequency"):
+                LightRWConfig(frequency_hz=frequency)
 
     def test_positive_instances(self):
-        with pytest.raises(ConfigError):
-            LightRWConfig(n_instances=0)
+        for n in (0, 1.5, 4.0):
+            with pytest.raises(ConfigError, match="n_instances"):
+                LightRWConfig(n_instances=n)
 
     def test_cache_policy_names(self):
-        for policy in ("degree", "direct", "lru", "fifo", "none"):
+        for policy in ("degree", "none"):
             LightRWConfig(cache_policy=policy)
-        with pytest.raises(ConfigError):
-            LightRWConfig(cache_policy="random")
+        for policy in ("direct", "lru", "fifo", "random"):
+            with pytest.raises(ConfigError, match="cache_policy"):
+                LightRWConfig(cache_policy=policy)
 
     def test_positive_depths(self):
-        with pytest.raises(ConfigError):
-            LightRWConfig(fifo_depth=0)
-        with pytest.raises(ConfigError):
-            LightRWConfig(max_inflight=-1)
+        for depth in (0, 8.0):
+            with pytest.raises(ConfigError, match="fifo_depth"):
+                LightRWConfig(fifo_depth=depth)
+        for inflight in (-1, 8.5):
+            with pytest.raises(ConfigError, match="max_inflight"):
+                LightRWConfig(max_inflight=inflight)
+
+    def test_prev_buffer_edges_non_negative_integer(self):
+        assert LightRWConfig(prev_buffer_edges=0).scaled_prev_buffer_edges == 0
+        for edges in (-5, 4096.0):
+            with pytest.raises(ConfigError, match="prev_buffer_edges"):
+                LightRWConfig(prev_buffer_edges=edges)
 
     def test_hardware_scale_positive(self):
-        with pytest.raises(ConfigError):
-            LightRWConfig(hardware_scale=0)
+        for scale in (0, -3, 2.5):
+            with pytest.raises(ConfigError, match="hardware_scale"):
+                LightRWConfig(hardware_scale=scale)
+        with pytest.raises(ConfigError, match="hardware_scale"):
+            LightRWConfig().scaled(2.5)
 
 
 class TestScaledProperties:

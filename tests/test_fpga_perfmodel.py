@@ -214,39 +214,3 @@ class TestBottleneck:
         # cross-instance memory sum is the largest total.
         assert breakdown.kernel_cycles == 99.0
         assert breakdown.bottleneck == "sampler"
-
-
-class TestCacheFastPath:
-    """The vectorized LRU/FIFO path must not change any modeled number."""
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo"])
-    def test_identical_breakdown_to_reference_loop(self, session, policy):
-        import numpy as np
-
-        from repro.fpga.cache import FIFOCache, LRUCache
-
-        class ReferenceLoopModel(FPGAPerfModel):
-            """The pre-vectorization `_cache_hits`: one Python call per access."""
-
-            def _cache_hits(self, trace, degrees):
-                cache_cls = LRUCache if self.config.cache_policy == "lru" else FIFOCache
-                cache = cache_cls(self.config.scaled_cache_entries, ways=4)
-                hits = np.zeros(trace.size, dtype=bool)
-                for i, vertex in enumerate(trace.tolist()):
-                    hits[i] = cache.access(vertex, int(degrees[vertex]))
-                return hits
-
-        config = LightRWConfig(cache_policy=policy)
-        fast = FPGAPerfModel(config, UniformWalk()).evaluate(session)
-        slow = ReferenceLoopModel(config, UniformWalk()).evaluate(session)
-        assert fast.cache_hits == slow.cache_hits
-        assert fast.cache_accesses == slow.cache_accesses
-        assert fast.kernel_cycles == slow.kernel_cycles
-        np.testing.assert_array_equal(fast.mem_cycles, slow.mem_cycles)
-        np.testing.assert_array_equal(fast.sampler_cycles, slow.sampler_cycles)
-        np.testing.assert_array_equal(fast.controller_cycles, slow.controller_cycles)
-        np.testing.assert_array_equal(
-            fast.query_latency_cycles, slow.query_latency_cycles
-        )
-        assert fast.bytes_valid == slow.bytes_valid
-        assert fast.bytes_loaded == slow.bytes_loaded
