@@ -25,11 +25,14 @@ match the paper's setup.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.cpu.memory_model import CPU_LINE_BYTES, XEON_6246R_LLC_BYTES, llc_hit_ratio
+from repro.errors import ConfigError
 from repro.walks.base import WalkAlgorithm
 from repro.walks.stepper import WalkSession
 
@@ -47,6 +50,23 @@ SEQ_DEMAND_MISS_FRACTION = 0.65
 #: PWRS lanes of "ThunderRW w/ PWRS" (Figure 14): on a CPU the lanes are
 #: SIMD lanes, and 4 matches 128-bit vectors of 32-bit weights.
 CPU_PWRS_LANES = 4
+
+#: CPUSpec fields by what they may hold: counts are integers >= 1, rates
+#: and clocks (divisors of the model) are finite and > 0, and latencies and
+#: instruction costs are finite and >= 0.
+_COUNT_FIELDS = ("n_threads", "llc_bytes", "l2_bytes", "interleave_width", "hardware_scale")
+_RATE_FIELDS = ("frequency_hz", "random_mlp", "dram_stream_bw", "cache_stream_bw", "instr_rate")
+_COST_FIELDS = (
+    "dram_latency_s",
+    "llc_latency_s",
+    "instr_per_edge",
+    "membership_instr_per_edge",
+    "rng_instr_per_item",
+    "step_overhead_instr",
+    "per_query_exec_s",
+    "engine_init_s",
+    "per_query_setup_s",
+)
 
 
 @dataclass(frozen=True)
@@ -109,6 +129,22 @@ class CPUSpec:
     #: Dataset scale divisor; cache capacities shrink by this factor so the
     #: capacity/footprint ratio matches the unscaled platform.
     hardware_scale: int = 1
+
+    def __post_init__(self) -> None:
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in _RATE_FIELDS + _COST_FIELDS:
+            value = getattr(self, name)
+            rate = name in _RATE_FIELDS
+            if not (
+                isinstance(value, numbers.Real)
+                and math.isfinite(value)
+                and (value > 0 or (value == 0 and not rate))
+            ):
+                least = "> 0" if rate else ">= 0"
+                raise ConfigError(f"{name} must be finite and {least}, got {value!r}")
 
     @property
     def scaled_llc_bytes(self) -> float:

@@ -19,6 +19,8 @@ to the measured 17.57 GB/s peak at burst length 64.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -29,6 +31,14 @@ BUS_BYTES = 64
 
 #: Measured peak sequential bandwidth of one channel (paper Figure 6).
 PEAK_BANDWIDTH_GBPS = 17.57
+
+#: Integer fields of DRAMTimings and the least value each may take.
+_INT_FIELDS = (
+    ("bus_bytes", 1),
+    ("request_overhead_cycles", 0),
+    ("long_pipe_extra_cycles", 0),
+    ("latency_cycles", 0),
+)
 
 
 @dataclass(frozen=True)
@@ -53,10 +63,14 @@ class DRAMTimings:
     peak_bandwidth_gbps: float = PEAK_BANDWIDTH_GBPS
 
     def __post_init__(self) -> None:
-        if self.bus_bytes <= 0 or self.request_overhead_cycles < 0:
-            raise ConfigError("invalid DRAM timing parameters")
-        if self.latency_cycles < 0 or self.frequency_hz <= 0:
-            raise ConfigError("invalid DRAM timing parameters")
+        for name, least in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ConfigError(f"DRAM {name} must be an integer >= {least}, got {value!r}")
+        for name in ("frequency_hz", "peak_bandwidth_gbps"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ConfigError(f"DRAM {name} must be finite and > 0, got {value!r}")
 
     def request_cycles(self, beats) -> "int | object":
         """Interface cycles one request of ``beats`` data beats occupies.

@@ -89,9 +89,9 @@ class StepContext:
     All per-edge arrays share one flat index space: query ``j`` (a position
     within this block, not a global query id) owns the slice
     ``[seg_starts[j], seg_starts[j] + degrees[j])``.  Built by
-    :func:`gather_step`, which fills the per-query arrays and ``within``;
-    the other per-edge arrays are computed on first read and cached, so a
-    step pays only for the ones its algorithm reads.
+    :func:`gather_step`, which fills only the per-query arrays; every
+    per-edge array is computed on first read and cached, so a step pays
+    only for the ones its algorithm and sampler read.
     """
 
     graph: "CSRGraph"
@@ -101,16 +101,19 @@ class StepContext:
     prev: np.ndarray  # -1 where the query has no previous vertex yet
     degrees: np.ndarray
     seg_starts: np.ndarray
-    #: index of each edge within its query's segment (length = degrees.sum())
-    within: np.ndarray
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.within.size)
+    #: candidate edges of the block (``degrees.sum()``)
+    n_edges: int
 
     @property
     def n_queries(self) -> int:
         return int(self.curr.size)
+
+    @cached_property
+    def within(self) -> np.ndarray:
+        """Index of each edge within its query's segment."""
+        within = np.arange(self.n_edges, dtype=np.int64)
+        within -= np.repeat(self.seg_starts, self.degrees)
+        return within
 
     @cached_property
     def edge_query(self) -> np.ndarray:
@@ -120,7 +123,9 @@ class StepContext:
     @cached_property
     def edge_positions(self) -> np.ndarray:
         """Index of each edge into the graph's edge arrays."""
-        return np.repeat(self.graph.row_index[self.curr], self.degrees) + self.within
+        positions = np.arange(self.n_edges, dtype=np.int64)
+        positions += np.repeat(self.graph.row_index[self.curr] - self.seg_starts, self.degrees)
+        return positions
 
     @cached_property
     def dst(self) -> np.ndarray:
@@ -168,9 +173,6 @@ def gather_step(
     degrees = graph.degrees[curr]
     seg_starts = np.zeros(curr.size, dtype=np.int64)
     np.cumsum(degrees[:-1], out=seg_starts[1:])
-    n_edges = int(seg_starts[-1] + degrees[-1]) if curr.size else 0
-    within = np.arange(n_edges, dtype=np.int64)
-    within -= np.repeat(seg_starts, degrees)
     return StepContext(
         graph=graph,
         step=step,
@@ -178,7 +180,7 @@ def gather_step(
         prev=np.asarray(prev, dtype=np.int64),
         degrees=degrees,
         seg_starts=seg_starts,
-        within=within,
+        n_edges=int(seg_starts[-1] + degrees[-1]) if curr.size else 0,
     )
 
 

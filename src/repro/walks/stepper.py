@@ -38,23 +38,31 @@ not depend on what else shares its block (or its shard).
 
 Lazy per-edge fields
 --------------------
-:func:`~repro.walks.base.gather_step` builds only the per-query arrays and
-each edge's index ``within`` its query's segment.  The other per-edge
-arrays of the :class:`~repro.walks.base.StepContext` (``edge_query``,
-``edge_positions``, ``dst``, ``static_weights``) are built on first read
-and cached, so a step pays only for what its algorithm reads: MetaPath
-never builds ``edge_query``, and a uniform step builds none of them.  The
-chosen vertex is one gather per query,
-``col_index[row_index[curr] + chosen]``
+:func:`~repro.walks.base.gather_step` builds only per-query arrays (the
+vertices, degrees and segment starts) and the block's edge count.  Every
+per-edge array of the :class:`~repro.walks.base.StepContext` (``within``,
+``edge_query``, ``edge_positions``, ``dst``, ``static_weights``) is built
+on first read and cached, so a step pays only for what its algorithm and
+sampler read: MetaPath never builds ``edge_query``, and a uniform step
+builds none of them.  The chosen vertex is one gather per
+query, ``col_index[row_index[curr] + chosen]``
 (:meth:`~repro.walks.base.StepContext.next_vertices`), not a per-edge
 ``dst``.
 
-The PWRS lane draws are per edge but keyed per query: an edge's cycle
-counter is its query's counter plus ``within // k`` and its lane key is
-row ``within % k`` of its query's keys.  Both come from one ``np.repeat``
-of the per-query value plus a gather from a small table indexed by
-``within`` (``cycle_of``, ``lane_of``), built once per sampler up to the
-graph's maximum degree.
+Cycle-major draws
+-----------------
+PWRS draws its lanes the way the hardware does: a query of degree ``d``
+takes ``ceil(d / k)`` cycles, each one row of ``k`` lane draws under one
+cycle counter, and a partial last row draws its spare lanes too (as
+:meth:`repro.sampling.ParallelWRS.consume` does).  The sampler stacks a
+block's rows into one ``(rows, k)`` matrix (:func:`_cycle_draws`): the
+counters are built once per row, the lane keys come from one row gather
+of the query's keys, and the mix is one in-place SplitMix64 over the
+matrix.  Edge ``e`` of query ``i`` reads flat lane
+``k * row_start[i] + (e - seg_starts[i])``.  The winner of a query is its
+last accepted lane, found from the sparse accepted lanes (``flatnonzero``)
+with one ``searchsorted`` per query; lanes past a query's degree are never
+looked at.  Each query's counter then advances by ``ceil(d / k)``.
 
 Constant weights
 ----------------
@@ -63,11 +71,14 @@ A walk whose weights are all one returns
 nothing: :class:`~repro.walks.uniform.UniformWalk` always, and on an
 unweighted graph ``StepContext.static_weights`` (restart walks, Node2Vec's
 first step).  PWRS reads any stride-0 weight vector as one weight ``w``
-for every edge, quantizes that one value, and computes each inclusive
-segment prefix as ``w * (within + 1)``: no per-edge quantization,
-cumulative sum or segment-base subtraction.  Those are the integers the
-generic path computes from an explicit array of the same value, so the
-walks are the same.
+for every edge.  With the inclusive prefix ``w * (j + 1)`` of lane ``j``,
+Equation 8 reduces to ``r* <= (2^32 - 2) // (j + 1)`` for every ``w >= 1``
+(:func:`_accept_threshold`), so a lane accepts when its raw 64-bit draw is
+below a per-lane bound from a table grown to the graph's maximum degree:
+no quantization, prefix or per-edge index at all.  ``w == 0`` accepts no
+lane, so every query of the block is a dead end.  These are exactly the
+decisions :func:`~repro.sampling.parallel_wrs.integer_accept` makes on an
+explicit array of the same value, so the walks are the same.
 
 Restart
 -------
@@ -139,6 +150,38 @@ def _lane_uint32(counters: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return raw
 
 
+def _cycle_draws(
+    lane_keys: np.ndarray, row_query: np.ndarray, row_counters: np.ndarray
+) -> np.ndarray:
+    """Raw 64-bit draws of one hardware cycle per row, ``k`` lanes wide.
+
+    Row ``i`` mixes cycle counter ``row_counters[i]`` with the lane keys
+    ``lane_keys[row_query[i]]`` (``lane_keys`` is ``(n, k)``).  Its high
+    32 bits are what ``ThundeRingRNG.next_uint32`` returns at that counter
+    for that query's generator.
+    """
+    k = lane_keys.shape[1]
+    draws = np.take(lane_keys, row_query, axis=0)
+    # A broadcast XOR over k-lane rows runs a short inner loop per row;
+    # one flat XOR against the repeated counters is faster.
+    draws ^= np.repeat(np.multiply(row_counters, _GOLDEN), k).reshape(draws.shape)
+    return splitmix64_inplace(draws)
+
+
+def _accept_threshold(within: np.ndarray) -> np.ndarray:
+    """Raw 64-bit draw bound below which lane ``within`` accepts a constant weight.
+
+    With every weight equal to ``w >= 1``, Equation 8 at inclusive prefix
+    ``w * (within + 1)`` reads ``2^32 w > r* w (within + 1) + w``, i.e.
+    ``r* <= (2^32 - 2) // (within + 1)``, whatever ``w`` is.  A draw's
+    high 32 bits are ``r*``, so the test on the raw draw is ``raw < bound``.
+    """
+    bound = np.uint64(0xFFFFFFFE) // (np.asarray(within, dtype=np.uint64) + np.uint64(1))
+    bound += np.uint64(1)
+    bound <<= _SHIFT32
+    return bound
+
+
 class PWRSSampler:
     """Parallel WRS selection across a batch of queries (Algorithm 4.1).
 
@@ -159,23 +202,21 @@ class PWRSSampler:
         self.seed = int(seed)
         self._lane_keys: np.ndarray | None = None
         self._counters: np.ndarray | None = None
-        # Tables indexed by an edge's within-segment index (see "Lazy
-        # per-edge fields" in the module docstring), grown to the graph's
-        # maximum degree on first use.
-        self._cycle_of = np.empty(0, dtype=np.uint64)
-        self._lane_of = np.empty(0, dtype=np.int64)
+        # _accept_threshold of every lane, one row of k per cycle, grown
+        # to the graph's maximum degree on first use.
+        self._thresholds = np.empty((0, self.k), dtype=np.uint64)
 
     def attach(self, num_queries: int, query_ids: np.ndarray) -> None:
         """Allocate per-query lane keys and cycle counters."""
         self._lane_keys = _query_lane_keys(self.seed, query_ids, self.k)
         self._counters = np.zeros(num_queries, dtype=np.uint64)
 
-    def _grow_tables(self, ctx: StepContext) -> None:
-        if ctx.degrees.size == 0 or int(ctx.degrees.max()) <= self._lane_of.size:
-            return
-        within = np.arange(max(int(ctx.graph.degrees.max()), 1), dtype=np.int64)
-        self._cycle_of = (within // self.k).astype(np.uint64)
-        self._lane_of = within % self.k
+    def _threshold_rows(self, ctx: StepContext, rows: np.ndarray) -> np.ndarray:
+        if int(rows.max()) > len(self._thresholds):
+            n_rows = -(-int(ctx.graph.degrees.max()) // self.k)
+            within = np.arange(n_rows * self.k, dtype=np.uint64)
+            self._thresholds = _accept_threshold(within).reshape(n_rows, self.k)
+        return self._thresholds
 
     def select(
         self,
@@ -191,36 +232,49 @@ class PWRSSampler:
         """
         if self._lane_keys is None or self._counters is None:
             raise ConfigError("sampler not attached; call attach() first")
-        self._grow_tables(ctx)
-        within, degrees, seg_starts = ctx.within, ctx.degrees, ctx.seg_starts
+        degrees, seg_starts = ctx.degrees, ctx.seg_starts
+        # Query i takes rows[i] cycles ("Cycle-major draws" in the module
+        # docstring), stacked from row row_starts[i] of the draws.
+        rows = -(-degrees // self.k)
+        row_starts = np.cumsum(rows) - rows
+        cycle = np.arange(int(rows.sum()), dtype=np.int64)
+        cycle -= np.repeat(row_starts, rows)
+        row_counters = np.repeat(self._counters[active_index], rows)
+        row_counters += cycle.astype(np.uint64)
+        draws = _cycle_draws(self._lane_keys, np.repeat(active_index, rows), row_counters)
+        pad_starts = row_starts * self.k
+
         weights = np.asarray(weights)
-        if weights.strides == (0,):
+        if weights.strides == (0,) and weights.size:
             # One weight for every edge ("Constant weights" in the module
-            # docstring), taken as a scalar: integer_accept broadcasts a 0-d
-            # operand several times faster than a 1-element array.
-            w_int = quantize_weights(weights[:1])[0]
-            incl_prefix = within.astype(np.uint64)
-            incl_prefix += np.uint64(1)
-            incl_prefix *= w_int
+            # docstring): a threshold per lane, no per-edge array at all.
+            if quantize_weights(weights[:1])[0]:
+                thresholds = np.take(self._threshold_rows(ctx, rows), cycle, axis=0)
+                hits = np.flatnonzero(draws < thresholds)
+            else:
+                hits = np.empty(0, dtype=np.intp)
+            starts = pad_starts
         else:
             w_int = quantize_weights(weights)
             incl_prefix = np.cumsum(w_int, dtype=np.uint64)
             seg_base = incl_prefix[seg_starts] - w_int[seg_starts]
             incl_prefix -= np.repeat(seg_base, degrees)
-
-        counters = np.repeat(self._counters[active_index], degrees)
-        counters += self._cycle_of[within]
-        lanes = np.repeat(active_index * self.k, degrees)
-        lanes += self._lane_of[within]
-        r_star = _lane_uint32(counters, self._lane_keys.ravel()[lanes])
-
-        accept = integer_accept(w_int, incl_prefix, r_star)
-        # The last accepted lane wins; 0 marks "none", so nothing gives -1.
-        chosen = np.maximum.reduceat((within + 1) * accept, seg_starts)
-        chosen -= 1
+            # Edge e of query i draws from flat lane pad_starts[i] + (e - seg_starts[i]).
+            lane = np.arange(ctx.n_edges, dtype=np.int64)
+            lane += np.repeat(pad_starts - seg_starts, degrees)
+            r_star = draws.ravel()[lane]
+            r_star >>= _SHIFT32
+            hits = np.flatnonzero(integer_accept(w_int, incl_prefix, r_star))
+            starts = seg_starts
+        # The last hit before a query's end wins if it is past the query's
+        # start (it would have overwritten the others sequentially); the -1
+        # sentinel lies below every start, so a query without hits gets -1.
+        hits = np.concatenate(([-1], hits))
+        last = hits[np.searchsorted(hits, starts + degrees) - 1]
+        chosen = np.where(last >= starts, last - starts, np.int64(-1))
 
         # Active queries are distinct, so plain fancy-index += is exact.
-        self._counters[active_index] += (-(-degrees // self.k)).astype(np.uint64)
+        self._counters[active_index] += rows.astype(np.uint64)
         return chosen
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cpu.costmodel import CPUSpec, cpu_time_for_session
+from repro.errors import ConfigError
 from repro.cpu.memory_model import llc_hit_ratio
 from repro.cpu.profiling import profile_session
 from repro.walks.metapath import MetaPathWalk
@@ -153,3 +154,39 @@ class TestProfiling:
         row = profile_session(timing, "Uniform", "labeled").as_row()
         assert row["Application"] == "Uniform"
         assert row["LLC Miss"].endswith("%")
+
+
+class TestCPUSpecValidation:
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"hardware_scale": 0},
+            {"hardware_scale": 2.5},
+            {"n_threads": 0},
+            {"llc_bytes": 1.5e6},
+            {"interleave_width": -1},
+            {"frequency_hz": float("nan")},
+            {"frequency_hz": 0.0},
+            {"instr_rate": float("inf")},
+            {"random_mlp": 0.0},
+            {"dram_stream_bw": -1.0},
+            {"dram_latency_s": float("nan")},
+            {"llc_latency_s": -1e-9},
+            {"engine_init_s": float("inf")},
+            {"instr_per_edge": -1.0},
+            {"frequency_hz": "fast"},
+        ],
+    )
+    def test_refused_at_construction(self, changes):
+        with pytest.raises(ConfigError, match=next(iter(changes))):
+            CPUSpec(**changes)
+
+    def test_scaled_refuses_zero(self):
+        with pytest.raises(ConfigError):
+            CPUSpec().scaled(0)
+
+    def test_boundary_values_accepted(self):
+        spec = CPUSpec(
+            hardware_scale=np.int64(4), dram_latency_s=0.0, engine_init_s=0, n_threads=1
+        )
+        assert spec.scaled_llc_bytes == spec.llc_bytes / 4

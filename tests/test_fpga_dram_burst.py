@@ -41,6 +41,31 @@ class TestDRAMTimings:
         with pytest.raises(ConfigError):
             burst_bandwidth_gbps(DRAMTimings(), 0)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"latency_cycles": float("nan")},
+            {"latency_cycles": 60.5},
+            {"latency_cycles": -1},
+            {"request_overhead_cycles": 5.0},
+            {"long_pipe_extra_cycles": -2},
+            {"bus_bytes": 0},
+            {"frequency_hz": float("nan")},
+            {"frequency_hz": float("inf")},
+            {"frequency_hz": 0.0},
+            {"peak_bandwidth_gbps": float("nan")},
+            {"peak_bandwidth_gbps": -17.57},
+            {"peak_bandwidth_gbps": float("inf")},
+        ],
+    )
+    def test_invalid_timings_refused(self, changes):
+        with pytest.raises(ConfigError, match=next(iter(changes))):
+            DRAMTimings(**changes)
+
+    def test_zero_cycle_counts_accepted(self):
+        timings = DRAMTimings(latency_cycles=0, request_overhead_cycles=0, long_pipe_extra_cycles=0)
+        assert timings.request_cycles(4) == 4
+
 
 class TestBurstStrategy:
     def test_labels(self):

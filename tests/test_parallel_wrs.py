@@ -11,6 +11,7 @@ from scipy import stats
 from repro.errors import ConfigError
 from repro.sampling.parallel_wrs import ParallelWRS, integer_accept
 from repro.sampling.rng import ThundeRingRNG
+from repro.walks.stepper import _accept_threshold
 
 
 class TestIntegerAccept:
@@ -86,6 +87,49 @@ class TestIntegerAccept:
         mixed = integer_accept(w.astype(object), prefix_big, r.astype(object))
         np.testing.assert_array_equal(fast[:-1], mixed[:-1])
         np.testing.assert_array_equal(fast, slow)
+
+
+class TestConstantWeightThreshold:
+    """PWRS's constant-weight table is Equation 8 at prefix ``w * (j + 1)``."""
+
+    @given(
+        w=st.one_of(st.integers(1, 2**12), st.integers(1, 2**32 - 1)),
+        within=st.one_of(st.integers(0, 64), st.integers(0, 2**24)),
+        low=st.sampled_from([0, 1, 2**32 - 1]),
+        above=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_threshold_matches_integer_accept(self, w, within, low, above):
+        bound = int(_accept_threshold(np.array([within]))[0])
+        # The largest accepted r* and the first rejected one.
+        r_star = (2**32 - 2) // (within + 1) + above
+        raw = (r_star << 32) | low
+        accepted = integer_accept(
+            np.array([w], dtype=np.uint64),
+            np.array([w * (within + 1)], dtype=np.uint64),
+            np.array([r_star], dtype=np.uint64),
+        )[0]
+        assert bool(accepted) == (not above)
+        assert (raw < bound) == bool(accepted)
+
+    @given(
+        w=st.integers(2**31, 2**32 - 1),
+        within=st.integers(1, 2**20),
+        r_star=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_threshold_on_the_two_limb_path(self, w, within, r_star):
+        """``w * (j + 1) >= 2^32``: integer_accept splits the prefix into limbs."""
+        prefix = w * (within + 1)
+        assert prefix >= 2**32
+        accepted = integer_accept(
+            np.array([w], dtype=np.uint64),
+            np.array([prefix], dtype=np.uint64),
+            np.array([r_star], dtype=np.uint64),
+        )[0]
+        bound = int(_accept_threshold(np.array([within]))[0])
+        assert ((r_star << 32) < bound) == bool(accepted)
+        assert bool(accepted) == (r_star <= (2**32 - 2) // (within + 1))
 
 
 class TestParallelWRSStateful:

@@ -313,7 +313,7 @@ def test_uniform_step_builds_no_per_edge_field(sampler, graph):
     starts = np.arange(graph.num_vertices)
     make = {"pwrs": lambda: PWRSSampler(k=3, seed=1), "inverse-transform": InverseTransformSampler}
     with pytest.MonkeyPatch.context() as patch:
-        _forbid(patch, "dst", "edge_query", "edge_positions", "static_weights")
+        _forbid(patch, "within", "dst", "edge_query", "edge_positions", "static_weights")
         session = run_walks(graph, starts, 6, UniformWalk(), make[sampler]())
     assert session.total_steps > 0
 
