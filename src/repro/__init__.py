@@ -51,7 +51,6 @@ from repro.runtime import (
     RetryPolicy,
     RunCheckpoint,
     ShardFailure,
-    SweepCheckpoint,
     TimingBreakdown,
     backend_names,
     register_backend,
@@ -96,7 +95,6 @@ __all__ = [
     "SimulationStallError",
     "SpeedupReport",
     "StaticWalk",
-    "SweepCheckpoint",
     "TimingBreakdown",
     "UniformWalk",
     "__version__",

@@ -13,9 +13,7 @@ import time
 
 from repro.bench import REGISTRY
 from repro.bench.common import describe_backends
-from repro.errors import ConfigError
 from repro.obs import Observer, configure_logging, use_observer
-from repro.runtime import SweepCheckpoint
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,19 +67,6 @@ def main(argv: list[str] | None = None) -> int:
              "rest and reporting the failures at the end",
     )
     parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="record each completed experiment in DIR so an interrupted "
-             "sweep can be resumed with --resume",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip experiments already recorded as completed in "
-             "--checkpoint-dir and continue at the first unfinished one",
-    )
-    parser.add_argument(
         "--log-level",
         default=None,
         help="enable structured logging at this level (debug/info/...)",
@@ -106,28 +91,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"known: {', '.join(sorted(REGISTRY))}", file=sys.stderr)
         return 2
 
-    checkpoint = None
-    completed: set[str] = set()
-    if args.resume and not args.checkpoint_dir:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.checkpoint_dir:
-        try:
-            checkpoint = SweepCheckpoint.open(
-                args.checkpoint_dir, resume=args.resume
-            )
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.resume:
-            completed = set(checkpoint.completed())
-
     failed: list[tuple[str, Exception]] = []
     for name in names:
-        if name in completed:
-            print(f"skipping {name}: already completed in {args.checkpoint_dir}")
-            print()
-            continue
         run = REGISTRY[name]
         kwargs = {}
         if args.scale is not None and "scale_divisor" in run.__code__.co_varnames:
@@ -161,10 +126,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.save_dir:
             path = result.save_json(args.save_dir)
             print(f"saved {path}")
-        if checkpoint is not None:
-            # Marked only after the result (and its JSON, when saving) is
-            # durable, so a kill between experiments re-runs at most one.
-            checkpoint.mark_done(name)
     if args.report:
         if not args.save_dir:
             print("--report requires --save-dir", file=sys.stderr)

@@ -24,6 +24,7 @@ import numbers
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.graph.csr import EDGE_RECORD_BYTES
 from repro.units import GIGA
 
 #: AXI data width of one channel (bytes per beat).
@@ -67,6 +68,13 @@ class DRAMTimings:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ConfigError(f"DRAM {name} must be an integer >= {least}, got {value!r}")
+        if self.bus_bytes % EDGE_RECORD_BYTES:
+            # A beat must hold whole edge records, or a burst chunk splits
+            # one and the burst schedule stops covering the fetch exactly.
+            raise ConfigError(
+                f"DRAM bus_bytes must be a multiple of the {EDGE_RECORD_BYTES}-byte "
+                f"edge record, got {self.bus_bytes}"
+            )
         for name in ("frequency_hz", "peak_bandwidth_gbps"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.fpga.burst import plan_bursts
 from repro.fpga.cache import DegreeAwareCache
 from repro.fpga.config import LightRWConfig
 from repro.fpga.sim.fifo import FIFO
@@ -268,9 +269,12 @@ class NeighborInfoLoader(Module):
 class BurstCmdGenerator(Module):
     """Plans each step's adjacency fetch into long + short burst commands.
 
-    Follows the Section 5.2 schedule: ``floor(c/S1)`` long bursts then
-    ``ceil(rem/S2)`` short bursts (degenerating to fixed-length plans for
-    the ablation strategies).  For second-order walks the previous
+    The burst counts come from :func:`~repro.fpga.burst.plan_bursts`, the
+    planner the analytic model uses (Section 5.2: ``floor(c/S1)`` long
+    bursts then ``ceil(rem/S2)`` short ones, or whole fixed-length bursts
+    for the ablation strategies).  This stage only lays them out: the long
+    chunks first, then the short ones, each carrying as many whole edge
+    records as its beats hold.  For second-order walks the previous
     vertex's adjacency is planned first — the weight updater needs the
     membership set before it can weight candidates.
     """
@@ -298,36 +302,17 @@ class BurstCmdGenerator(Module):
     def _plan(self, degree: int) -> list[tuple[str, int, int]]:
         """Chunks of (port, beats, edges) covering ``degree`` edge records."""
         strategy = self.config.strategy
-        bus = self.config.dram.bus_bytes
-        total_bytes = degree * EDGE_RECORD_BYTES
-        if total_bytes == 0:
-            return []
+        dram = self.config.dram
+        plan = plan_bursts(np.array([degree * EDGE_RECORD_BYTES]), strategy, dram)
+        n_long, n_short = int(plan.n_long[0]), int(plan.n_short[0])
+        bursts = [("long", strategy.long_beats)] * n_long
+        bursts += [("short", strategy.short_beats)] * n_short
         chunks: list[tuple[str, int, int]] = []
         edges_left = degree
-        if strategy.short_beats == 0:
-            per_burst_edges = strategy.long_beats * bus // EDGE_RECORD_BYTES
-            while edges_left > 0:
-                take = min(per_burst_edges, edges_left)
-                chunks.append(("long", strategy.long_beats, take))
-                edges_left -= take
-        elif strategy.long_beats == 0:
-            per_burst_edges = strategy.short_beats * bus // EDGE_RECORD_BYTES
-            while edges_left > 0:
-                take = min(per_burst_edges, edges_left)
-                chunks.append(("short", strategy.short_beats, take))
-                edges_left -= take
-        else:
-            s1_bytes = strategy.long_beats * bus
-            s1_edges = s1_bytes // EDGE_RECORD_BYTES
-            n_long = total_bytes // s1_bytes
-            for _ in range(n_long):
-                chunks.append(("long", strategy.long_beats, s1_edges))
-                edges_left -= s1_edges
-            s2_edges = strategy.short_beats * bus // EDGE_RECORD_BYTES
-            while edges_left > 0:
-                take = min(s2_edges, edges_left)
-                chunks.append(("short", strategy.short_beats, take))
-                edges_left -= take
+        for port, beats in bursts:
+            take = min(beats * dram.bus_bytes // EDGE_RECORD_BYTES, edges_left)
+            chunks.append((port, beats, take))
+            edges_left -= take
         return chunks
 
     def _queued(self) -> int:

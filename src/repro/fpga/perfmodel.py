@@ -76,14 +76,17 @@ class FPGATimeBreakdown:
     kernel_s: float = field(init=False)
 
     def __post_init__(self) -> None:
+        self.kernel_cycles = float(self.instance_cycles.max(initial=0.0)) + self.fill_cycles
+        self.kernel_s = self.kernel_cycles / self.config.frequency_hz
+
+    @property
+    def instance_cycles(self) -> np.ndarray:
+        """Busy cycles per instance: its stages' max when they overlap, else their sum."""
         if self.overlapped:
-            per_instance = np.maximum(
+            return np.maximum(
                 np.maximum(self.mem_cycles, self.sampler_cycles), self.controller_cycles
             )
-        else:
-            per_instance = self.mem_cycles + self.sampler_cycles + self.controller_cycles
-        self.kernel_cycles = float(per_instance.max(initial=0.0)) + self.fill_cycles
-        self.kernel_s = self.kernel_cycles / self.config.frequency_hz
+        return self.mem_cycles + self.sampler_cycles + self.controller_cycles
 
     @property
     def steps_per_second(self) -> float:
@@ -113,13 +116,7 @@ class FPGATimeBreakdown:
         }
         if self.mem_cycles.size == 0:
             return "memory"
-        if self.overlapped:
-            per_instance = np.maximum(
-                np.maximum(self.mem_cycles, self.sampler_cycles), self.controller_cycles
-            )
-        else:
-            per_instance = self.mem_cycles + self.sampler_cycles + self.controller_cycles
-        critical = int(np.argmax(per_instance))
+        critical = int(np.argmax(self.instance_cycles))
         return max(stacks, key=lambda name: float(stacks[name][critical]))
 
     @property

@@ -45,7 +45,6 @@ from repro.runtime.backends import (
 )
 from repro.runtime.durability import (
     RunCheckpoint,
-    SweepCheckpoint,
     plan_fingerprint,
 )
 from repro.runtime.faults import (
@@ -90,7 +89,6 @@ __all__ = [
     "RunCheckpoint",
     "RuntimeContext",
     "ShardFailure",
-    "SweepCheckpoint",
     "TimingBreakdown",
     "backend_names",
     "comparison_backends",

@@ -42,7 +42,7 @@ of backend or shard layout — the repo's core invariant.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -115,7 +115,6 @@ class BackendReport:
     setup_s: float = 0.0
     query_latency_s: np.ndarray | None = None
     session: WalkSession | None = None
-    notes: dict = field(default_factory=dict)
 
 
 class Backend(abc.ABC):

@@ -1,21 +1,17 @@
 """Durable runs: checkpoint/resume across process boundaries.
 
 PR 3 made a single process survive shard failures; this module makes the
-*run* survive the process.  Two checkpoint granularities:
-
-* :class:`RunCheckpoint` — one scheduler batch.  Every completed shard's
-  walk-stage :class:`~repro.runtime.backends.BackendReport` (paths and the
-  step records the cost stage replays, minus the graph) is persisted
-  (atomic write, content checksum) the moment it finishes, keyed by shard index,
-  together with a ``run.json`` carrying a fingerprint of the planned run
-  (backend, algorithm, steps, the exact sampled starts, shard layout,
-  seed, config hash).  A resumed run loads the completed shards, executes
-  only the missing ones, and — because per-query RNG lanes are keyed by
-  *global* query id — merges to a result byte-identical to an
-  uninterrupted run's, modeled numbers and session included.
-* :class:`SweepCheckpoint` — one bench sweep.  ``lightrw-bench`` records
-  each experiment name as it completes, so an interrupted ``all`` sweep
-  resumes at the first unfinished experiment.
+*run* survive the process.  :class:`RunCheckpoint` covers one scheduler
+batch.  Every completed shard's walk-stage
+:class:`~repro.runtime.backends.BackendReport` (paths and the step records
+the cost stage replays, minus the graph) is persisted (atomic write,
+content checksum) the moment it finishes, keyed by shard index, together
+with a ``run.json`` carrying a fingerprint of the planned run (backend,
+algorithm, steps, the exact sampled starts, shard layout, seed, config
+hash).  A resumed run loads the completed shards, executes only the
+missing ones, and — because per-query RNG lanes are keyed by *global*
+query id — merges to a result byte-identical to an uninterrupted run's,
+modeled numbers and session included.
 
 Corruption is handled, not trusted: every checkpoint file is verified on
 load, and a file that fails verification is quarantined and its shard
@@ -53,14 +49,11 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "RunCheckpoint",
-    "SweepCheckpoint",
     "plan_fingerprint",
 ]
 
 #: Metadata file identifying a run-checkpoint directory.
 RUN_FILE = "run.json"
-#: Metadata file identifying a bench-sweep checkpoint directory.
-SWEEP_FILE = "sweep.json"
 
 _SHARD_PATTERN = re.compile(r"^shard-(\d{4,})\.ckpt$")
 
@@ -233,50 +226,3 @@ class RunCheckpoint:
                 )
         return restored
 
-
-class SweepCheckpoint:
-    """Experiment-granular persistence of one bench sweep."""
-
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        self.path = self.directory / SWEEP_FILE
-
-    @classmethod
-    def open(
-        cls, directory: str | Path, *, resume: bool = False
-    ) -> "SweepCheckpoint":
-        """Attach to a sweep checkpoint; ``resume`` requires it to exist.
-
-        ``resume=False`` starts the sweep clean (a leftover completion
-        list from a previous sweep of the same directory is discarded).
-        """
-        checkpoint = cls(directory)
-        if resume and not checkpoint.path.exists():
-            raise ConfigError(
-                f"cannot resume: {checkpoint.path} does not exist (start a "
-                f"sweep with this checkpoint directory first)"
-            )
-        if not resume:
-            write_json_artifact(checkpoint.path, {"completed": []}, kind="bench-sweep")
-        return checkpoint
-
-    def completed(self) -> list[str]:
-        """Experiment names recorded as finished (order preserved)."""
-        if not self.path.exists():
-            return []
-        try:
-            payload = read_json_artifact(self.path, kind="bench-sweep")
-        except ArtifactCorruptionError as exc:
-            logger.warning("sweep checkpoint unusable, starting over: %s", exc)
-            return []
-        done = payload.get("completed", [])
-        return [str(name) for name in done] if isinstance(done, list) else []
-
-    def mark_done(self, name: str) -> None:
-        """Record one finished experiment (read-modify-write, atomic)."""
-        done = self.completed()
-        if name not in done:
-            done.append(name)
-        write_json_artifact(
-            self.path, {"completed": done}, kind="bench-sweep"
-        )

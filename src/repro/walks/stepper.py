@@ -182,6 +182,20 @@ def _accept_threshold(within: np.ndarray) -> np.ndarray:
     return bound
 
 
+def _weight_before(incl_prefix: np.ndarray, edge_index: np.ndarray) -> np.ndarray:
+    """Total weight of the block's edges before each of ``edge_index``.
+
+    One read of the inclusive prefix per query, at the edge before: a
+    segment that starts the block has nothing before it, and a sink's
+    segment (which may start at the block's end) is never read past.
+    """
+    if not incl_prefix.size:
+        return np.zeros(edge_index.size, dtype=np.uint64)
+    before = incl_prefix[edge_index - 1]
+    before[edge_index == 0] = 0
+    return before
+
+
 class PWRSSampler:
     """Parallel WRS selection across a batch of queries (Algorithm 4.1).
 
@@ -257,8 +271,7 @@ class PWRSSampler:
         else:
             w_int = quantize_weights(weights)
             incl_prefix = np.cumsum(w_int, dtype=np.uint64)
-            seg_base = incl_prefix[seg_starts] - w_int[seg_starts]
-            incl_prefix -= np.repeat(seg_base, degrees)
+            incl_prefix -= np.repeat(_weight_before(incl_prefix, seg_starts), degrees)
             # Edge e of query i draws from flat lane pad_starts[i] + (e - seg_starts[i]).
             lane = np.arange(ctx.n_edges, dtype=np.int64)
             lane += np.repeat(pad_starts - seg_starts, degrees)
@@ -307,8 +320,8 @@ class InverseTransformSampler:
         seg_starts = ctx.seg_starts
         w_int = quantize_weights(weights)
         prefix = np.cumsum(w_int, dtype=np.uint64)
-        seg_base = prefix[seg_starts] - w_int[seg_starts]
-        seg_total = prefix[seg_starts + ctx.degrees - 1] - seg_base
+        seg_base = _weight_before(prefix, seg_starts)
+        seg_total = _weight_before(prefix, seg_starts + ctx.degrees) - seg_base
 
         r_star = _lane_uint32(self._counters[active_index], self._keys[active_index])
         self._counters[active_index] += np.uint64(1)

@@ -22,7 +22,6 @@ from repro.artifacts import (
     write_binary_artifact,
     write_json_artifact,
 )
-from repro.bench.runner import main as bench_main
 from repro.cli import main as cli_main
 from repro.core.queries import make_queries
 from repro.errors import (
@@ -38,7 +37,7 @@ from repro.fpga.sim.fifo import FIFO
 from repro.fpga.sim.module import Module
 from repro.graph.io import load_csr_npz, save_csr_npz
 from repro.obs import append_jsonl, read_jsonl, use_observer
-from repro.runtime import InjectedFault, RunCheckpoint, SweepCheckpoint
+from repro.runtime import InjectedFault, RunCheckpoint
 from repro.walks.uniform import UniformWalk
 from tests.helpers import assert_same_result
 
@@ -508,63 +507,6 @@ class TestCLIResume:
         ])
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
-
-
-# -- bench sweep resume -------------------------------------------------------
-
-
-class TestSweepResume:
-    def test_checkpoint_records_completions_in_order(self, tmp_path):
-        checkpoint = SweepCheckpoint.open(tmp_path / "sweep")
-        assert checkpoint.completed() == []
-        checkpoint.mark_done("fig6")
-        checkpoint.mark_done("table1")
-        checkpoint.mark_done("fig6")  # idempotent
-        assert checkpoint.completed() == ["fig6", "table1"]
-
-    def test_resume_requires_existing_checkpoint(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot resume"):
-            SweepCheckpoint.open(tmp_path / "missing", resume=True)
-
-    def test_fresh_open_resets_previous_sweep(self, tmp_path):
-        checkpoint = SweepCheckpoint.open(tmp_path / "sweep")
-        checkpoint.mark_done("fig6")
-        fresh = SweepCheckpoint.open(tmp_path / "sweep", resume=False)
-        assert fresh.completed() == []
-
-    def test_corrupt_sweep_checkpoint_degrades_to_empty(self, tmp_path, caplog):
-        checkpoint = SweepCheckpoint.open(tmp_path / "sweep")
-        checkpoint.mark_done("fig6")
-        checkpoint.path.write_text("{ torn")
-        with caplog.at_level("WARNING"):
-            assert checkpoint.completed() == []
-
-    def test_runner_resume_skips_completed(self, tmp_path, capsys):
-        directory = tmp_path / "sweep"
-        assert bench_main(
-            ["table5", "--checkpoint-dir", str(directory)]
-        ) == 0
-        capsys.readouterr()
-        assert bench_main([
-            "table5", "table2", "--scale", "2048",
-            "--checkpoint-dir", str(directory), "--resume",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "skipping table5" in out
-        assert "table2" in out
-        checkpoint = SweepCheckpoint(directory)
-        assert checkpoint.completed() == ["table5", "table2"]
-
-    def test_runner_resume_without_dir_rejected(self, capsys):
-        assert bench_main(["table5", "--resume"]) == 2
-        assert "--resume requires --checkpoint-dir" in capsys.readouterr().err
-
-    def test_runner_resume_missing_dir_rejected(self, tmp_path, capsys):
-        code = bench_main([
-            "table5", "--resume", "--checkpoint-dir", str(tmp_path / "void"),
-        ])
-        assert code == 2
-        assert "cannot resume" in capsys.readouterr().err
 
 
 # -- simulator watchdog -------------------------------------------------------

@@ -7,7 +7,9 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.fpga.accelerator import LightRWAcceleratorSim
+from repro.fpga.burst import FIXED_LONG, SHORT_ONLY, BurstStrategy
 from repro.fpga.config import LightRWConfig
+from repro.fpga.dram import DRAMTimings
 from repro.fpga.perfmodel import FPGAPerfModel
 from repro.fpga.sim.clock import Simulator
 from repro.fpga.sim.fifo import FIFO
@@ -140,11 +142,27 @@ class TestTimingAgreement:
         ratio = result.cycles / model.kernel_cycles
         assert 0.6 < ratio < 1.7, (result.cycles, model.kernel_cycles)
 
-    def test_byte_accounting_matches(self, small_setup):
+    @pytest.mark.parametrize("strategy", [
+        SHORT_ONLY, FIXED_LONG, BurstStrategy(1, 8), BurstStrategy(1, 32),
+        BurstStrategy(2, 16),
+    ], ids=lambda strategy: strategy.label)
+    @pytest.mark.parametrize("bus_bytes", [32, 64])
+    @pytest.mark.parametrize("algorithm", [
+        UniformWalk(), Node2VecWalk(2.0, 0.5),
+    ], ids=["uniform", "node2vec"])
+    def test_byte_accounting_matches(self, small_setup, algorithm, bus_bytes, strategy):
+        from dataclasses import replace
+
         graph, config, starts = small_setup
-        result = LightRWAcceleratorSim(graph, config, UniformWalk(), seed=5).run(starts, 8)
-        session = run_walks(graph, starts, 8, UniformWalk(), PWRSSampler(config.k, 5))
-        model = FPGAPerfModel(config, UniformWalk()).evaluate(session)
+        # A small previous-stream buffer makes Node2Vec re-fetch membership
+        # lists, so those chunks are planned and counted too.
+        config = replace(
+            config, strategy=strategy, dram=DRAMTimings(bus_bytes=bus_bytes),
+            prev_buffer_edges=8,
+        )
+        result = LightRWAcceleratorSim(graph, config, algorithm, seed=5).run(starts, 8)
+        session = run_walks(graph, starts, 8, algorithm, PWRSSampler(config.k, 5))
+        model = FPGAPerfModel(config, algorithm).evaluate(session)
         sim_valid = sum(s.bytes_valid for s in result.instances)
         sim_loaded = sum(s.bytes_loaded for s in result.instances)
         assert sim_valid == model.bytes_valid

@@ -62,6 +62,15 @@ class TestDRAMTimings:
         with pytest.raises(ConfigError, match=next(iter(changes))):
             DRAMTimings(**changes)
 
+    @pytest.mark.parametrize("bus_bytes", [2, 6, 10])
+    def test_bus_splitting_an_edge_record_refused(self, bus_bytes):
+        with pytest.raises(ConfigError, match="bus_bytes must be a multiple"):
+            DRAMTimings(bus_bytes=bus_bytes)
+
+    @pytest.mark.parametrize("bus_bytes", [4, 32, 64])
+    def test_bus_of_whole_edge_records_accepted(self, bus_bytes):
+        assert DRAMTimings(bus_bytes=bus_bytes).bus_bytes == bus_bytes
+
     def test_zero_cycle_counts_accepted(self):
         timings = DRAMTimings(latency_cycles=0, request_overhead_cycles=0, long_pipe_extra_cycles=0)
         assert timings.request_cycles(4) == 4

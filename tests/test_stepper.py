@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QueryError
 from repro.graph.builders import from_edge_list
 from repro.graph.generators import chung_lu_graph, path_graph, star_graph
 from repro.graph.labels import assign_vertex_labels
+from repro.sampling.inverse_transform import InverseTransformTable
+from repro.sampling.parallel_wrs import ParallelWRS
+from repro.sampling.rng import ThundeRingRNG, derive_seed
+from repro.walks.base import gather_step, quantize_weights
 from repro.walks.metapath import MetaPathWalk
 from repro.walks.node2vec import Node2VecWalk
 from repro.walks.ppr import RestartWalk
@@ -248,3 +252,91 @@ class TestInverseTransformSampler:
         f_pwrs = (pwrs.paths[:, 1] == 2).mean()
         assert abs(f_itx - 0.75) < 0.02
         assert abs(f_pwrs - 0.75) < 0.02
+
+
+#: Largest segment in the random blocks below; ``k = 64`` exceeds it.
+_MAX_SEGMENT = 40
+
+_segments = st.lists(
+    st.tuples(
+        st.one_of(st.just(0), st.integers(1, _MAX_SEGMENT)),  # 0 is a sink
+        st.sampled_from(["random", "zero", "constant"]),
+    ),
+    max_size=8,
+)
+
+
+class TestSamplersAcceptAnyBlock:
+    """``select`` on any block equals its scalar reference, query by query.
+
+    Blocks come straight from :func:`gather_step`, so they hold leading,
+    middle and trailing sinks, zero-weight and constant-weight segments,
+    and blocks with no edges at all.
+    """
+
+    @given(
+        lead_sinks=st.integers(0, 2),
+        segments=_segments,
+        trail_sinks=st.integers(0, 2),
+        k=st.sampled_from([1, 3, 16, 64]),
+        stride0=st.booleans(),
+        weight_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_select_matches_scalar_references(
+        self, lead_sinks, segments, trail_sinks, k, stride0, weight_seed
+    ):
+        segments = [(0, "zero")] * lead_sinks + segments + [(0, "zero")] * trail_sinks
+        degrees = [d for d, _ in segments]
+        n = len(degrees)
+        assume(n)
+        # Vertex v has degrees[v] out-edges; vertex n is a sink all point to.
+        edges = [(v, n) for v, d in enumerate(degrees) for _ in range(d)]
+        graph = from_edge_list(np.array(edges, dtype=np.int64).reshape(-1, 2), num_vertices=n + 1)
+        ctx = gather_step(graph, 0, np.arange(n), np.full(n, -1))
+
+        rng = np.random.default_rng(weight_seed)
+        if stride0 and ctx.n_edges:
+            # One weight for the whole block: PWRS's threshold-table path.
+            weights = np.broadcast_to(rng.choice([0.0, 1.0, 2.5]), (ctx.n_edges,))
+        else:
+            parts = []
+            for d, kind in segments:
+                if kind == "random":
+                    w = rng.uniform(0.0, 50.0, d)
+                    w[rng.random(d) < 0.3] = 0.0
+                else:
+                    w = np.full(d, 0.0 if kind == "zero" else rng.uniform(0.01, 50.0))
+                parts.append(w)
+            weights = np.concatenate(parts) if parts else np.empty(0)
+        w_int = quantize_weights(weights)
+
+        seed = 5
+        query_ids = rng.permutation(4 * n)[:n]
+        first = rng.integers(0, 2**40, n).astype(np.uint64)
+        active_index = rng.permutation(n)  # block position j is attached row active_index[j]
+        pwrs = PWRSSampler(k=k, seed=seed)
+        itx = InverseTransformSampler(seed=seed)
+        for sampler in (pwrs, itx):
+            sampler.attach(n, query_ids)
+            sampler._counters[:] = first
+        pwrs_chosen = pwrs.select(ctx, weights, active_index)
+        itx_chosen = itx.select(ctx, weights, active_index)
+
+        for j, row in enumerate(active_index.tolist()):
+            lane_seed = derive_seed(seed, int(query_ids[row]))
+            seg = w_int[ctx.seg_starts[j]:ctx.seg_starts[j] + degrees[j]]
+            lanes = ThundeRingRNG(k, lane_seed)
+            lanes.counter = int(first[row])
+            reference = ParallelWRS(k, lanes)
+            for lo in range(0, degrees[j], k):
+                reference.consume(np.arange(lo, min(lo + k, degrees[j])), seg[lo:lo + k])
+            want = reference.result()
+            assert pwrs_chosen[j] == (-1 if want is None else want)
+
+            draw = ThundeRingRNG(1, lane_seed)
+            draw.counter = int(first[row])
+            assert itx_chosen[j] == InverseTransformTable(seg).sample(int(draw.next_uint32()[0]))
+
+            if degrees[j] == 0:
+                assert pwrs_chosen[j] == itx_chosen[j] == -1
