@@ -10,10 +10,14 @@ parent/child nesting::
         with span("kernel"):
             ...
 
-Spans nest per thread (the batch scheduler executes shards on worker
-threads, and each worker's spans form their own chain), and every span
-records its thread name so the Chrome-trace exporter can lay shards out
-on separate tracks.
+Spans nest per :mod:`contextvars` context: a span's parent is the span
+open in the context that opens it.  A new thread starts with an empty
+context, so its spans form their own chain, unless its work runs in a
+copy of the submitting context (``contextvars.copy_context().run``), as
+the batch scheduler does for its pool workers and watchdog threads; their
+``group`` and ``shard`` spans then descend from the run that submitted
+them.  Every span records its thread name so the Chrome-trace exporter can
+lay shards out on separate tracks.
 
 The module-level :func:`span` helper records into the *current observer*
 (:func:`current_observer`), a context-variable the facade sets for the
@@ -75,42 +79,35 @@ class SpanRecord:
 
 
 class SpanRecorder:
-    """Collects finished :class:`SpanRecord`\\ s with per-thread nesting."""
+    """Collects finished :class:`SpanRecord`\\ s with per-context nesting."""
 
     def __init__(self) -> None:
         self._epoch = time.perf_counter()
         self._finished: list[SpanRecord] = []
         self._lock = threading.Lock()
         self._next_id = 0
-        self._stack = threading.local()
-
-    def _current_stack(self) -> list[int]:
-        stack = getattr(self._stack, "ids", None)
-        if stack is None:
-            stack = self._stack.ids = []
-        return stack
+        #: id of the innermost open span of this recorder, per context
+        self._open: ContextVar[int | None] = ContextVar("repro_open_span", default=None)
 
     @contextlib.contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[SpanRecord]:
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
-        stack = self._current_stack()
-        parent_id = stack[-1] if stack else None
         record = SpanRecord(
             span_id=span_id,
             name=name,
             start_s=time.perf_counter() - self._epoch,
             duration_s=0.0,
-            parent_id=parent_id,
+            parent_id=self._open.get(),
             thread=threading.current_thread().name,
             attrs=dict(attrs),
         )
-        stack.append(span_id)
+        token = self._open.set(span_id)
         try:
             yield record
         finally:
-            stack.pop()
+            self._open.reset(token)
             record.duration_s = (time.perf_counter() - self._epoch) - record.start_s
             with self._lock:
                 self._finished.append(record)

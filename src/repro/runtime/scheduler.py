@@ -53,6 +53,7 @@ import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass, field, replace
 from typing import Callable, Container
 
@@ -66,7 +67,6 @@ from repro.obs import (
     record_resumed_shard,
     record_retry,
     record_shard_failure,
-    use_observer,
 )
 from repro.runtime.backends import (
     Backend,
@@ -172,10 +172,11 @@ class BatchOutcome:
 def _call_with_timeout(call, timeout_s: float | None, what: str):
     """Run ``call`` on a watchdog thread, abandoning it past ``timeout_s``.
 
-    With no timeout, ``call`` runs on the calling thread.  Backends cannot
-    be interrupted cooperatively mid-kernel, so a timed-out attempt keeps
-    running on its (daemon) thread while the scheduler moves on — the
-    standard thread-pool trade-off.
+    With no timeout, ``call`` runs on the calling thread.  Otherwise it
+    runs in a copy of the caller's context, so the observer and the open
+    span carry over.  Backends cannot be interrupted cooperatively
+    mid-kernel, so a timed-out attempt keeps running on its (daemon) thread
+    while the scheduler moves on — the standard thread-pool trade-off.
     """
     if timeout_s is None:
         return call()
@@ -190,7 +191,9 @@ def _call_with_timeout(call, timeout_s: float | None, what: str):
         finally:
             done.set()
 
-    worker = threading.Thread(target=target, name=what.replace(" ", "-"), daemon=True)
+    worker = threading.Thread(
+        target=copy_context().run, args=(target,), name=what.replace(" ", "-"), daemon=True
+    )
     worker.start()
     if not done.wait(timeout_s):
         raise ShardTimeoutError(f"{what} exceeded the {timeout_s:.3g}s shard timeout")
@@ -323,10 +326,7 @@ class BatchScheduler:
 
         def attempt_shard(shard: QueryShard, attempt: int) -> BackendReport:
             def call() -> BackendReport:
-                # Worker threads start with a fresh context, so re-install
-                # the observer; spans opened by the backend then nest under
-                # the shard span on this thread's own track.
-                with use_observer(obs), obs.span(
+                with obs.span(
                     "shard", backend=backend.name, shard=shard.index,
                     queries=shard.num_queries, attempt=attempt,
                 ):
@@ -398,7 +398,7 @@ class BatchScheduler:
             )
 
             def call() -> WalkSession:
-                with use_observer(obs), obs.span(
+                with obs.span(
                     "group", backend=backend.name, first=first.index,
                     shards=len(members), queries=group.num_queries,
                 ):
@@ -451,8 +451,11 @@ class BatchScheduler:
             len(pending), backend.name, len(groups), workers,
         )
         if workers > 1:
+            # Each group runs in its own copy of this context, so its spans
+            # descend from the span open here.
+            contexts = [copy_context() for _ in groups]
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                grouped = list(pool.map(run_group, groups))
+                grouped = list(pool.map(lambda c, g: c.run(run_group, g), contexts, groups))
         else:
             grouped = [run_group(members) for members in groups]
         # Groups list the pending shards in plan order, so stitching them

@@ -116,11 +116,6 @@ class StepContext:
         return within
 
     @cached_property
-    def edge_query(self) -> np.ndarray:
-        """Block position of the query owning each edge."""
-        return np.repeat(np.arange(self.curr.size, dtype=np.int64), self.degrees)
-
-    @cached_property
     def edge_positions(self) -> np.ndarray:
         """Index of each edge into the graph's edge arrays."""
         positions = np.arange(self.n_edges, dtype=np.int64)
@@ -140,10 +135,6 @@ class StepContext:
         if weights is None:
             return unit_weights(self.n_edges)
         return weights[self.edge_positions]
-
-    def prev_per_edge(self) -> np.ndarray:
-        """Previous vertex of the owning query, broadcast per edge."""
-        return np.repeat(self.prev, self.degrees)
 
     def next_vertices(self, chosen: np.ndarray) -> np.ndarray:
         """Vertex at within-segment index ``chosen`` of each query's segment.

@@ -16,6 +16,16 @@ on the accelerator means a second ``row_index`` lookup and a second
 ``col_index`` stream per step — those costs are declared through the class
 attributes the hardware models read.
 
+The host kernel searches the graph's sorted edge keys
+(:meth:`~repro.graph.csr.CSRGraph.edge_keys`) and works in block indices:
+:func:`connected_to_previous` and :func:`return_edges` return the flat
+candidate indices of the step's "stay close" and "return" edges, and
+:meth:`Node2VecWalk.dynamic_weights` starts every edge of a query with a
+previous vertex at ``1/q`` and overwrites those two index sets.  So a
+step's work beyond the one ``1/q`` fill is proportional to the searched
+needles and their hits, not to the block's candidate edges, and an
+unweighted step builds no per-edge :class:`StepContext` field.
+
 The first step of a query has no previous vertex and degenerates to a
 static walk step (``w^t = w*``), matching the reference implementation.
 """
@@ -58,37 +68,45 @@ class Node2VecWalk(WalkAlgorithm):
             )
 
     def dynamic_weights(self, ctx: StepContext) -> np.ndarray:
-        if not np.any(ctx.prev >= 0):
+        has_prev = ctx.prev >= 0
+        if not np.any(has_prev):
             return ctx.static_weights
-        prev = ctx.prev_per_edge()
-        has_prev = prev >= 0
-        is_return = (ctx.dst == prev) & has_prev
-        explore = has_prev & ~is_return & ~connected_to_previous(ctx)
-        scale = np.ones(ctx.n_edges, dtype=np.float64)
-        scale[is_return] = 1.0 / self.p
-        scale[explore] = 1.0 / self.q
-        if ctx.graph.edge_weights is None:  # w* = 1, and 1 * scale is exactly scale
-            return scale
-        return ctx.static_weights * scale
+        scale = np.repeat(np.where(has_prev, 1.0 / self.q, 1.0), ctx.degrees)
+        scale[connected_to_previous(ctx)] = 1.0
+        scale[return_edges(ctx)] = 1.0 / self.p  # a return edge is connected too
+        if ctx.graph.edge_weights is not None:  # else w* = 1, and the scale is w^t
+            scale *= ctx.static_weights
+        return scale
 
     def __repr__(self) -> str:
         return f"Node2VecWalk(p={self.p}, q={self.q})"
 
 
-def connected_to_previous(ctx: StepContext) -> np.ndarray:
-    """``(prev, dst) in E`` for every candidate edge of the step.
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(lo[i], hi[i])`` over every ``i`` (int64)."""
+    lengths = hi - lo
+    ends = np.cumsum(lengths)
+    flat = np.arange(ends[-1] if ends.size else 0, dtype=np.int64)
+    flat += np.repeat(lo - ends + lengths, lengths)
+    return flat
 
-    Edges of a query without a previous vertex are ``False``.  Each query
-    is tested from its smaller side, in the graph's sorted global edge keys
+
+def connected_to_previous(ctx: StepContext) -> np.ndarray:
+    """Block indices of the candidate edges ``(curr, b)`` with ``(prev, b) in E``.
+
+    The indices are flat candidate indices of ``ctx`` in no particular
+    order (a multigraph may list one more than once); queries without a
+    previous vertex contribute none.  Each query is tested from its smaller
+    side, in the graph's sorted global edge keys
     (:meth:`~repro.graph.csr.CSRGraph.edge_keys`):
 
     * ``deg(prev) >= deg(curr)``: one search per candidate edge, for the
-      key ``prev * |V| + dst``;
+      key ``prev * |V| + b``; the candidates that hit are returned;
     * ``deg(prev) < deg(curr)``: one search per ``y`` in ``N(prev)`` — the
       adjacency the accelerator buffers on chip — for the key
-      ``curr * |V| + y``.  A hit is the run of curr's edges to ``y``
-      (``[left, right)`` of the search; multigraphs repeat edges), and
-      those candidates are marked connected.
+      ``curr * |V| + y``.  Only a needle that hits gets a second,
+      right-side search: its ``[left, right)`` run (multigraphs repeat
+      edges) is curr's edges to ``y``, returned as block indices.
     """
     graph = ctx.graph
     keys = graph.edge_keys()
@@ -97,32 +115,48 @@ def connected_to_previous(ctx: StepContext) -> np.ndarray:
     has_prev = prev >= 0
     prev_degrees = np.where(has_prev, graph.degrees[np.maximum(prev, 0)], 0)
     from_prev = has_prev & (prev_degrees < ctx.degrees)
-    connected = np.zeros(ctx.n_edges, dtype=bool)
+    connected = [np.zeros(0, dtype=np.int64)]
 
-    per_candidate = np.repeat(has_prev & ~from_prev, ctx.degrees)
-    if np.any(per_candidate):
-        needles = np.repeat(prev * n, ctx.degrees)[per_candidate] + ctx.dst[per_candidate]
+    queries = np.flatnonzero(has_prev & ~from_prev)
+    if queries.size:
+        starts = ctx.seg_starts[queries]
+        degrees = ctx.degrees[queries]
+        candidates = _ranges(starts, starts + degrees)
+        positions = candidates + np.repeat(graph.row_index[ctx.curr[queries]] - starts, degrees)
+        needles = np.repeat(prev[queries] * n, degrees) + graph.col_index64[positions]
         found = np.searchsorted(keys, needles)
-        connected[per_candidate] = keys[np.minimum(found, keys.size - 1)] == needles
+        connected.append(candidates[keys[np.minimum(found, keys.size - 1)] == needles])
 
     queries = np.flatnonzero(from_prev)
     if queries.size:
-        q_prev = prev[queries]
         q_curr = ctx.curr[queries]
         q_degrees = prev_degrees[queries]
-        # Gather N(prev) of every such query as one flat stream.
-        offsets = np.zeros(queries.size, dtype=np.int64)
-        np.cumsum(q_degrees[:-1], out=offsets[1:])
-        positions = np.repeat(graph.row_index[q_prev] - offsets, q_degrees)
-        positions += np.arange(positions.size, dtype=np.int64)
-        needles = np.repeat(q_curr * n, q_degrees) + graph.col_index64[positions]
-        left = np.searchsorted(keys, needles, side="left")
-        right = np.searchsorted(keys, needles, side="right")
-        hit = right > left
+        lo = graph.row_index[prev[queries]]
+        needles = np.repeat(q_curr * n, q_degrees) + graph.col_index64[_ranges(lo, lo + q_degrees)]
+        left = np.searchsorted(keys, needles)
+        hit = keys[np.minimum(left, keys.size - 1)] == needles
+        right = np.searchsorted(keys, needles[hit], side="right")
         # Global edge position -> this step's flat candidate index.
         shift = np.repeat(ctx.seg_starts[queries] - graph.row_index[q_curr], q_degrees)[hit]
-        marks = np.bincount(left[hit] + shift, minlength=ctx.n_edges + 1)
-        marks -= np.bincount(right[hit] + shift, minlength=ctx.n_edges + 1)
-        connected |= np.cumsum(marks[:-1]) > 0
-    return connected
+        connected.append(_ranges(left[hit] + shift, right + shift))
 
+    return np.concatenate(connected)
+
+
+def return_edges(ctx: StepContext) -> np.ndarray:
+    """Block indices of the candidate edges back to each query's previous vertex.
+
+    One ``searchsorted`` pair per query with a previous vertex, for the key
+    ``curr * |V| + prev``: its ``[left, right)`` run is every edge from
+    ``curr`` to ``prev`` (several in a multigraph, none if ``curr`` has no
+    edge back), expanded into flat candidate indices of ``ctx``.
+    """
+    graph = ctx.graph
+    keys = graph.edge_keys()
+    queries = np.flatnonzero(ctx.prev >= 0)
+    curr = ctx.curr[queries]
+    needles = curr * np.int64(graph.num_vertices) + ctx.prev[queries]
+    left = np.searchsorted(keys, needles)
+    right = np.searchsorted(keys, needles, side="right")
+    shift = ctx.seg_starts[queries] - graph.row_index[curr]
+    return _ranges(left + shift, right + shift)

@@ -41,11 +41,12 @@ Lazy per-edge fields
 :func:`~repro.walks.base.gather_step` builds only per-query arrays (the
 vertices, degrees and segment starts) and the block's edge count.  Every
 per-edge array of the :class:`~repro.walks.base.StepContext` (``within``,
-``edge_query``, ``edge_positions``, ``dst``, ``static_weights``) is built
-on first read and cached, so a step pays only for what its algorithm and
-sampler read: MetaPath never builds ``edge_query``, and a uniform step
-builds none of them.  The chosen vertex is one gather per
-query, ``col_index[row_index[curr] + chosen]``
+``edge_positions``, ``dst``, ``static_weights``) is built on first read
+and cached, so a step pays only for what its algorithm and sampler read:
+a uniform step builds none of them, and neither does an unweighted
+Node2Vec step, whose membership and return tests gather only the
+candidates they search (:mod:`repro.walks.node2vec`).  The chosen vertex
+is one gather per query, ``col_index[row_index[curr] + chosen]``
 (:meth:`~repro.walks.base.StepContext.next_vertices`), not a per-edge
 ``dst``.
 

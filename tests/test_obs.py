@@ -138,6 +138,30 @@ class TestSpans:
             parent = [r for r in roots if r.span_id == inner.parent_id]
             assert parent and parent[0].attrs == inner.attrs
 
+    @pytest.mark.parametrize("timeout", [None, 600.0])
+    def test_pool_thread_spans_descend_from_run(self, labeled_graph, timeout):
+        # Shard 5 fails once, so it walks alone (with a retry) on a pool
+        # thread; the other shards are walked as groups and sliced.
+        obs = Observer()
+        LightRW(labeled_graph, hardware_scale=64, seed=3).run(
+            UniformWalk(), 4, max_sampled_queries=64, shards=8, mode="thread",
+            workers=2, observer=obs,
+            retry=RetryPolicy(max_attempts=2, shard_timeout_s=timeout),
+            faults=[InjectedFault(shard=5, fail_attempts=1)],
+        )
+        by_id = {s.span_id: s for s in obs.spans.finished()}
+
+        def ancestors(record):
+            while record.parent_id is not None:
+                record = by_id[record.parent_id]
+                yield record.name
+
+        pooled = obs.spans.find("group") + obs.spans.find("shard")
+        assert obs.spans.find("group") and len(obs.spans.find("shard")) == 9
+        assert any(s.thread != threading.main_thread().name for s in pooled)
+        for record in pooled:
+            assert "run" in ancestors(record), record
+
 
 class TestManifest:
     def test_fingerprint_stable_and_sensitive(self):

@@ -6,6 +6,8 @@ paper's ``[1, 4)`` range or across the whole fixed-point domain:
 
 * the smaller-side membership test equals brute-force ``has_edge`` for
   every candidate edge, whichever side each query searches from;
+* Node2Vec's weights equal a scalar per-edge evaluation of Equation 2,
+  weighted or not, first steps mixed in;
 * ``run_walks`` returns the same paths, lengths and step records whatever
   the step block budget, for both samplers, restart walks included;
 * Node2Vec rows of ``run_walks`` equal the scalar ``walk_single_query``
@@ -84,9 +86,57 @@ def test_smaller_side_membership_matches_has_edge(graph, pairs):
     curr = np.array([u for u, _ in pairs])
     prev = np.array([v for _, v in pairs])
     ctx = gather_step(graph, 1, curr, prev)
-    owners = prev[ctx.edge_query]
+    owners = prev[np.repeat(np.arange(curr.size), ctx.degrees)]
     expected = [u >= 0 and graph.has_edge(u, v) for u, v in zip(owners, ctx.dst)]
-    np.testing.assert_array_equal(connected_to_previous(ctx), expected)
+    np.testing.assert_array_equal(_mask(ctx, connected_to_previous(ctx)), expected)
+
+
+def _mask(ctx, indices):
+    """Block indices as a per-candidate-edge bool mask."""
+    mask = np.zeros(ctx.n_edges, dtype=bool)
+    mask[indices] = True
+    return mask
+
+
+#: (p, q) pairs: the paper's, its mirror, the first-order walk, inexact reciprocals.
+N2V_PARAMETERS = [(2.0, 0.5), (0.5, 2.0), (1.0, 1.0), (3.0, 0.7)]
+
+
+@given(
+    graph=multigraphs(heaviest=N2V_HEAVIEST),
+    pairs=st.lists(st.tuples(st.integers(0, 13), st.integers(-1, 13)), min_size=1, max_size=12),
+    weighted=st.booleans(),
+    pq=st.sampled_from(N2V_PARAMETERS),
+)
+@settings(max_examples=120, deadline=None)
+def test_node2vec_weights_match_scalar_reference(graph, pairs, weighted, pq):
+    n = graph.num_vertices
+    if not weighted:
+        graph = dataclasses.replace(graph, edge_weights=None)
+    pairs = [(u % n, v if v < 0 else v % n) for u, v in pairs]
+    pairs += [(v, u) for u, v in pairs if v >= 0]
+    # The hub 0 and vertex 1 (a self-loop, a repeated edge) met from both
+    # sides of the smaller-side split, a first step and the sink.
+    pairs += [(0, 1), (1, 0), (1, 1), (1, -1), (n - 1, 1)]
+    curr = np.array([u for u, _ in pairs])
+    prev = np.array([v for _, v in pairs])
+    p, q = pq
+    ctx = gather_step(graph, 1, curr, prev)
+    expected = []
+    for a, u in pairs:
+        lo, hi = graph.neighbor_slice(a)
+        for pos in range(lo, hi):
+            b = int(graph.col_index[pos])
+            w_star = 1.0 if graph.edge_weights is None else float(graph.edge_weights[pos])
+            if u < 0:
+                expected.append(w_star)
+            elif b == u:
+                expected.append(w_star * (1.0 / p))
+            elif graph.has_edge(u, b):
+                expected.append(w_star * 1.0)
+            else:
+                expected.append(w_star * (1.0 / q))
+    np.testing.assert_array_equal(Node2VecWalk(p, q).dynamic_weights(ctx), expected)
 
 
 def _walk(graph, starts, n_steps, algorithm, make_sampler, budget):
@@ -270,21 +320,18 @@ def test_lazy_fields_equal_their_definitions(graph, curr, weighted):
     if not weighted:
         graph = dataclasses.replace(graph, edge_weights=None)
     ctx = gather_step(graph, 0, curr, np.full(curr.size, -1))
-    owner, within, positions = [], [], []
-    for j, v in enumerate(curr.tolist()):
+    within, positions = [], []
+    for v in curr.tolist():
         for i in range(graph.degree(v)):
-            owner.append(j)
             within.append(i)
             positions.append(int(graph.row_index[v]) + i)
     np.testing.assert_array_equal(ctx.within, within)
-    np.testing.assert_array_equal(ctx.edge_query, owner)
     np.testing.assert_array_equal(ctx.edge_positions, positions)
     np.testing.assert_array_equal(ctx.dst, graph.col_index[positions])
     assert ctx.dst.dtype == np.int64
     expected_weights = graph.edge_weights[positions] if weighted else np.ones(len(positions))
     np.testing.assert_array_equal(ctx.static_weights, expected_weights)
     assert ctx.static_weights.dtype == np.float64
-    np.testing.assert_array_equal(ctx.prev_per_edge(), ctx.prev[ctx.edge_query])
     walkable = np.flatnonzero(ctx.degrees > 0)
     chosen = np.full(curr.size, -1)
     chosen[walkable] = (ctx.degrees[walkable] - 1) // 2
@@ -313,15 +360,17 @@ def test_uniform_step_builds_no_per_edge_field(sampler, graph):
     starts = np.arange(graph.num_vertices)
     make = {"pwrs": lambda: PWRSSampler(k=3, seed=1), "inverse-transform": InverseTransformSampler}
     with pytest.MonkeyPatch.context() as patch:
-        _forbid(patch, "within", "dst", "edge_query", "edge_positions", "static_weights")
+        _forbid(patch, "within", "dst", "edge_positions", "static_weights")
         session = run_walks(graph, starts, 6, UniformWalk(), make[sampler]())
     assert session.total_steps > 0
 
 
 @given(graph=multigraphs())
 @settings(max_examples=20, deadline=None)
-def test_metapath_step_builds_no_edge_owner(graph):
+def test_unweighted_node2vec_step_builds_no_per_edge_field(graph):
+    graph = dataclasses.replace(graph, edge_weights=None)
     starts = np.arange(graph.num_vertices)
     with pytest.MonkeyPatch.context() as patch:
-        _forbid(patch, "edge_query")
-        run_walks(graph, starts, 6, MetaPathWalk([0, 1]), PWRSSampler(k=3, seed=1))
+        _forbid(patch, "dst", "edge_positions", "within")
+        session = run_walks(graph, starts, 6, Node2VecWalk(2.0, 0.5), PWRSSampler(k=3, seed=1))
+    assert session.total_steps > 0

@@ -183,18 +183,21 @@ class TestEdgesExist:
         curr = np.array([0, 0, 3, 2, 0, 3, 1])
         prev = np.array([3, 1, 0, 1, -1, 4, 2])
         ctx = gather_step(tiny_graph, 1, curr, prev)
-        owners = prev[ctx.edge_query]
+        owners = prev[np.repeat(np.arange(curr.size), ctx.degrees)]
         expected = np.array(
             [u >= 0 and tiny_graph.has_edge(u, v) for u, v in zip(owners, ctx.dst)]
         )
-        np.testing.assert_array_equal(connected_to_previous(ctx), expected)
+        connected = np.zeros(ctx.n_edges, dtype=bool)
+        connected[connected_to_previous(ctx)] = True
+        np.testing.assert_array_equal(connected, expected)
 
     def test_requires_edge_keys(self, tiny_graph):
         """The membership test reads the graph's edge keys, staged once."""
         ctx = _context_for(tiny_graph, 0, prev=3)
         keys = tiny_graph.edge_keys()
         assert tiny_graph.edge_keys() is keys
-        connected = connected_to_previous(ctx)
+        connected = np.zeros(ctx.n_edges, dtype=bool)
+        connected[connected_to_previous(ctx)] = True
         assert tiny_graph.edge_keys() is keys
         expected = [tiny_graph.has_edge(3, int(v)) for v in ctx.dst]
         np.testing.assert_array_equal(connected, expected)
