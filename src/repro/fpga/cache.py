@@ -21,7 +21,10 @@ This module provides:
   highest-degree vertex accessed so far in its set (earliest-first on
   ties), so the hit/miss outcome of every access is a running-argmax
   query, computable with one segmented max-scan; a direct-mapped access
-  hits iff the previous access to its set was the same vertex.
+  hits iff the previous access to its set was the same vertex.  Both
+  order the trace by set with one stable argsort (:func:`_set_order`),
+  and the DAC's segmented scan is a single ``np.maximum.accumulate``
+  over keys offset by their set, with no per-set code.
 """
 
 from __future__ import annotations
@@ -168,6 +171,19 @@ class FIFOCache(_SetAssociativeCache):
         super().__init__(capacity, ways)
 
 
+def _set_order(trace: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order of a trace by cache set, and the set of each access in it.
+
+    Time order is kept within a set.  Set ids of a capacity up to 2^16 are
+    sorted as ``uint16``, which numpy's stable sort radix-sorts.
+    """
+    sets = trace & np.int64(capacity - 1)
+    if capacity <= 1 << 16:
+        sets = sets.astype(np.uint16)
+    order = np.argsort(sets, kind="stable")
+    return order, sets[order]
+
+
 def simulate_degree_aware(
     trace: np.ndarray, degrees: np.ndarray, capacity: int
 ) -> np.ndarray:
@@ -190,45 +206,47 @@ def simulate_degree_aware(
     -----
     A DAC line holds the maximum-degree vertex accessed so far in its set,
     with ties kept by the earliest accessor (strict-inequality replacement).
-    Encoding each vertex as ``degree * 2^26 + (2^26 - 1 - first_access_rank)``
-    makes "the currently cached vertex" an exclusive running maximum of
-    that key within the set's access sequence, and a hit is simply "my key
-    equals the running max".  The encoding is unique per vertex, so key
-    equality implies vertex equality.
+    Each vertex gets a key: the dense rank of ``(degree, -first access)``
+    over the trace's distinct vertices, so "the currently cached vertex" is
+    the one with the largest key accessed so far in the set, and keys are
+    unique per vertex.  Sorted by set (time order kept within a set), the
+    key plus ``set * distinct`` makes every set's keys exceed every earlier
+    set's, so one ``np.maximum.accumulate`` over the whole sorted trace is
+    the running maximum within each set.  An access hits iff its key
+    equals the running maximum before it; a set's first access sees an
+    earlier set's maximum, which is always smaller: a miss.
     """
     _check_capacity(capacity)
     trace = np.asarray(trace, dtype=np.int64)
-    if trace.size == 0:
+    n = trace.size
+    if n == 0:
         return np.zeros(0, dtype=bool)
-    if trace.size >= (1 << 26):
+    if n >= (1 << 26):
         raise ConfigError("trace too long for the vectorized DAC encoding (2^26)")
     degrees = np.asarray(degrees, dtype=np.int64)
 
-    # Rank of each vertex's first appearance in the trace.
-    _, first_pos, inverse = np.unique(trace, return_index=True, return_inverse=True)
-    rank_of_vertex = first_pos  # per unique vertex
-    key = (degrees[trace] << np.int64(26)) + (np.int64(1 << 26) - 1 - rank_of_vertex[inverse])
+    # First access of each vertex, read back per access.
+    position = np.arange(n)
+    first = np.full(degrees.size, n, dtype=np.int64)
+    np.minimum.at(first, trace, position)
+    first_of = first[trace]
+    # Distinct vertices by first access, latest first, then stably by
+    # degree: the order of (degree, -first access).
+    firsts = np.flatnonzero(first_of == position)[::-1]
+    by_key = firsts[np.argsort(degrees[trace[firsts]], kind="stable")]
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_key] = np.arange(by_key.size)
 
-    sets = trace & np.int64(capacity - 1)
-    order = np.argsort(sets, kind="stable")  # time order preserved within a set
-    sorted_keys = key[order]
-    sorted_sets = sets[order]
-
-    boundaries = np.nonzero(np.diff(sorted_sets))[0] + 1
-    seg_starts = np.concatenate([[0], boundaries])
-    seg_ends = np.concatenate([boundaries, [sorted_sets.size]])
-
-    hits_sorted = np.zeros(trace.size, dtype=bool)
-    for start, end in zip(seg_starts.tolist(), seg_ends.tolist()):
-        segment = sorted_keys[start:end]
-        running = np.maximum.accumulate(segment)
-        # Exclusive prefix max: state of the line *before* each access.
-        exclusive = np.empty_like(running)
-        exclusive[0] = -1
-        exclusive[1:] = running[:-1]
-        hits_sorted[start:end] = segment == exclusive
-
-    hits = np.zeros(trace.size, dtype=bool)
+    order, sorted_sets = _set_order(trace, capacity)
+    # A set id is below len(degrees) and there are at most 2^26 distinct
+    # vertices, so the offset key fits int64 for any degree table in memory.
+    keys = np.multiply(sorted_sets, by_key.size, dtype=np.int64)
+    keys += rank[first_of[order]]
+    running = np.maximum.accumulate(keys)
+    hits_sorted = np.empty(n, dtype=bool)
+    hits_sorted[0] = False
+    np.equal(keys[1:], running[:-1], out=hits_sorted[1:])
+    hits = np.empty(n, dtype=bool)
     hits[order] = hits_sorted
     return hits
 
@@ -243,10 +261,8 @@ def simulate_direct_mapped(trace: np.ndarray, capacity: int) -> np.ndarray:
     trace = np.asarray(trace, dtype=np.int64)
     if trace.size == 0:
         return np.zeros(0, dtype=bool)
-    sets = trace & np.int64(capacity - 1)
-    order = np.argsort(sets, kind="stable")
+    order, sorted_sets = _set_order(trace, capacity)
     sorted_trace = trace[order]
-    sorted_sets = sets[order]
     hits_sorted = np.zeros(trace.size, dtype=bool)
     same_vertex = sorted_trace[1:] == sorted_trace[:-1]
     same_set = sorted_sets[1:] == sorted_sets[:-1]

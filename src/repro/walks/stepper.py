@@ -30,11 +30,20 @@ the budget is a block of its own).  Per block the stepper gathers the
 candidate edges (:func:`~repro.walks.base.gather_step`), computes the
 dynamic weights and samples, then writes the block's next vertices into
 the step's arrays; the step still yields one :class:`StepRecord`.  The
-block's per-edge arrays stay in cache instead of streaming a whole step's
-worth of temporaries through memory.  Blocking never changes a walk: each
+budget bounds the per-edge temporaries a block keeps live, instead of a
+whole step's worth of them.  Blocking never changes a walk: each
 query's weights, lane draws and counters depend only on that query, and
 both samplers' prefix sums are exact integers, so a segment's draw does
 not depend on what else shares its block (or its shard).
+
+The budget, 2^18 candidate edges, is sized by the fixed cost of a block
+rather than by its working set.  Each block makes a few dozen numpy calls
+on per-query arrays (``np.repeat``, gathers, cumulative sums) whose cost
+does not shrink with the block and is spent holding the GIL; a larger
+block spreads it over more edges, and fewer such calls let thread-mode
+groups overlap.  On a 2-core machine, 10 alternating benchmark pairs
+against 2^16 found 2^18 faster for uniform and Node2Vec steps, weighted
+or not, and no slower for weighted MetaPath steps.
 
 Lazy per-edge fields
 --------------------
@@ -124,7 +133,7 @@ _SHIFT32 = np.uint64(32)
 _RESTART_SALT = 0x9E57A97
 
 #: Edge budget of one step block (see "Step blocks" above).
-STEP_BLOCK_EDGES = 1 << 16
+STEP_BLOCK_EDGES = 1 << 18
 
 
 def _query_lane_keys(seed: int, query_ids: np.ndarray, k: int) -> np.ndarray:

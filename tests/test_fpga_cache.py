@@ -89,16 +89,34 @@ class TestVectorizedEquivalence:
 
     @given(
         seed=st.integers(0, 10_000),
-        capacity_log=st.integers(1, 5),
-        n_vertices=st.integers(2, 200),
+        capacity_log=st.integers(0, 17),
+        n_lines=st.integers(1, 64),
+        spread=st.integers(1, 128),
         trace_len=st.integers(1, 400),
+        degree_pool=st.sampled_from([None, 1, 2, 3]),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_degree_aware_matches_stateful(self, seed, capacity_log, n_vertices, trace_len):
+    @settings(max_examples=120, deadline=None)
+    def test_degree_aware_matches_stateful(
+        self, seed, capacity_log, n_lines, spread, trace_len, degree_pool
+    ):
+        """Capacities from a single set to 2^17 (both set-sort paths), a few
+        lines (in pairs that differ only in the top set bit) each shared by
+        up to ``spread`` vertices, so sets can be crowded, and degrees up to
+        2^31 - 1, all random or drawn from a few values so that many
+        accesses tie.  The vertex table is capped at 2^20 entries, which
+        thins the spread only above capacity 2^13."""
         rng = np.random.default_rng(seed)
         capacity = 1 << capacity_log
-        degrees = rng.integers(0, 50, size=n_vertices)
-        trace = rng.integers(0, n_vertices, size=trace_len)
+        spread = min(spread, max(1, (1 << 20) >> capacity_log))
+        lines = rng.integers(0, capacity, size=n_lines)
+        lines = np.concatenate([lines, lines ^ (capacity >> 1)])
+        trace = lines[rng.integers(0, lines.size, size=trace_len)]
+        trace += capacity * rng.integers(0, spread, size=trace_len)
+        if degree_pool is None:
+            degrees = rng.integers(0, 2**31, size=spread * capacity)
+        else:
+            values = rng.choice([0, 1, 2**31 - 1, *rng.integers(0, 2**31, 2)], size=degree_pool)
+            degrees = rng.choice(values, size=spread * capacity)
         vector_hits = simulate_degree_aware(trace, degrees, capacity)
         cache = DegreeAwareCache(capacity)
         stateful_hits = np.array(
