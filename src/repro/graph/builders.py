@@ -1,4 +1,11 @@
-"""Builders that turn edge lists into validated :class:`CSRGraph` objects."""
+"""Builders that turn edge lists into validated :class:`CSRGraph` objects.
+
+:func:`from_edge_list` orders edges with one sort of a ``uint64`` key per
+edge, ``src * num_vertices + dst``; ``row_index`` and ``col_index`` are read
+back from the sorted keys.  Edges with equal keys keep their input order,
+so per-edge attributes land where a stable sort would put them and
+deduplication keeps the first occurrence.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +13,10 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
+
+#: Largest vertex count: ``col_index`` stores uint32 ids, and it keeps the
+#: edge key ``src * n + dst`` below ``2**64``.
+MAX_VERTICES = 1 << 32
 
 
 def symmetrize_edges(edges: np.ndarray) -> np.ndarray:
@@ -52,6 +63,8 @@ def from_edge_list(
 
     The resulting ``col_index`` is sorted within each row, which downstream
     components (binary-search membership tests, burst planning) require.
+    Repeated ``(src, dst)`` pairs keep their input order, and so do their
+    attributes.  More than ``2**32`` vertices raise :class:`GraphFormatError`.
     """
     edges = np.asarray(edges, dtype=np.int64)
     if edges.size == 0:
@@ -95,29 +108,59 @@ def from_edge_list(
         raise GraphFormatError(
             f"edge references vertex {int(edges.max())} but num_vertices={num_vertices}"
         )
+    if num_vertices > MAX_VERTICES:
+        raise GraphFormatError(
+            f"num_vertices={num_vertices} exceeds 2**32: col_index holds uint32 vertex ids"
+        )
 
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges = edges[order]
-    if weights is not None:
-        weights = weights[order]
-    if edge_labels is not None:
-        edge_labels = edge_labels[order]
+    # One uint64 key per edge, src * n + dst: sorting it sorts by (src, dst).
+    n = np.uint64(num_vertices)
+    pairs = edges.view(np.uint64)
+    key = pairs[:, 0] * n
+    key += pairs[:, 1]
+    del edges, pairs
+    if weights is None and edge_labels is None:
+        # Equal keys are identical edges, so their order cannot be seen.
+        key.sort()
+    else:
+        order = np.argsort(key)
+        key = key[order]
+        # Equal keys keep their input order, as in a stable sort: sort
+        # run * m + input position once, where ``run`` counts the distinct
+        # keys before each edge (exact while m**2 < 2**63).
+        m = key.size
+        ranked = np.zeros(m, dtype=np.int64)
+        np.cumsum(key[1:] != key[:-1], out=ranked[1:])
+        ranked *= m
+        ranked += order
+        del order
+        ranked.sort()
+        order = np.remainder(ranked, m, out=ranked)
+        if weights is not None:
+            weights = weights[order]
+        if edge_labels is not None:
+            edge_labels = edge_labels[order]
+        del order, ranked
 
-    if deduplicate and edges.shape[0]:
-        keep = np.ones(edges.shape[0], dtype=bool)
-        keep[1:] = np.any(edges[1:] != edges[:-1], axis=1)
-        edges = edges[keep]
+    if deduplicate and key.size:
+        keep = np.empty(key.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
         if weights is not None:
             weights = weights[keep]
         if edge_labels is not None:
             edge_labels = edge_labels[keep]
+        del keep
 
-    counts = np.bincount(edges[:, 0], minlength=num_vertices)
-    row_index = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_index[1:])
+    row_index = np.empty(num_vertices + 1, dtype=np.int64)
+    row_index[:-1] = np.searchsorted(key, np.arange(num_vertices, dtype=np.uint64) * n)
+    row_index[-1] = key.size
+    col_index = np.remainder(key, n, out=key).astype(np.uint32)
+    del key
     return CSRGraph(
         row_index=row_index,
-        col_index=edges[:, 1].astype(np.uint32),
+        col_index=col_index,
         edge_weights=weights,
         vertex_labels=vertex_labels,
         edge_labels=edge_labels,

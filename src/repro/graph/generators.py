@@ -50,15 +50,27 @@ def rmat_graph(
     rng = np.random.default_rng(seed)
     src = np.zeros(m, dtype=np.int64)
     dst = np.zeros(m, dtype=np.int64)
-    # Thresholds of the four quadrants in CDF form.
+    draw = np.empty(m)
+    down = np.empty(m, dtype=bool)
+    right = np.empty(m, dtype=bool)
+    crossed = np.empty(m, dtype=bool)
+    # Thresholds of the four quadrants in CDF form: a draw that crosses one
+    # threshold lands in b, two in c, three in d.  It moves down from c on,
+    # and right in b and d (an odd number of crossings).
     t_a, t_ab, t_abc = a, a + b, a + b + c
     for level in range(scale):
-        draw = rng.random(m)
-        right = (draw >= t_a) & (draw < t_ab) | (draw >= t_abc)
-        down = draw >= t_ab
-        src = (src << 1) | down.astype(np.int64)
-        dst = (dst << 1) | right.astype(np.int64)
+        rng.random(out=draw)
+        np.greater_equal(draw, t_ab, out=down)
+        np.greater_equal(draw, t_a, out=right)
+        right ^= down
+        right ^= np.greater_equal(draw, t_abc, out=crossed)
+        src <<= 1
+        src |= down
+        dst <<= 1
+        dst |= right
+    del draw, down, right, crossed
     edges = np.stack([src, dst], axis=1)
+    del src, dst
     return from_edge_list(
         edges,
         num_vertices=n,

@@ -33,6 +33,14 @@ class TestFromEdgeList:
         with pytest.raises(GraphFormatError, match="num_vertices"):
             from_edge_list(np.array([[0, 5]]), num_vertices=3)
 
+    def test_rejects_more_than_2_32_vertices(self):
+        # Refused before anything sized by num_vertices is allocated; uint32
+        # col_index would otherwise wrap ids of 2**32 and above.
+        with pytest.raises(GraphFormatError, match="2\\*\\*32"):
+            from_edge_list(np.array([[0, 1]]), num_vertices=2**32 + 1)
+        with pytest.raises(GraphFormatError, match="2\\*\\*32"):
+            from_edge_list(np.array([[0, 2**32]]))
+
     def test_rejects_negative_ids(self):
         with pytest.raises(GraphFormatError, match="non-negative"):
             from_edge_list(np.array([[-1, 0]]))
@@ -67,8 +75,8 @@ class TestFromEdgeList:
 
     def test_deduplicate_keeps_first_weight(self):
         edges = np.array([[0, 1], [0, 1]])
-        # After the stable lexsort the original order within equal edges is
-        # preserved, so the first occurrence's weight survives.
+        # Equal (src, dst) keys keep their input order, so the first
+        # occurrence's weight survives.
         graph = from_edge_list(
             edges, num_vertices=2, weights=np.array([5.0, 9.0]), deduplicate=True
         )
@@ -113,6 +121,86 @@ class TestFromEdgeList:
         graph = from_edge_list(array, num_vertices=16)
         assert _edge_multiset(graph) == sorted(map(tuple, array.tolist()))
         assert graph.neighbors_sorted()
+
+
+def _lexsort_reference(edges, num_vertices, weights, edge_labels, directed, deduplicate):
+    """CSR arrays by a stable two-key lexsort: the builder's specification."""
+    if not directed:
+        mirrored = edges[:, 0] != edges[:, 1]
+        edges = np.concatenate([edges, edges[mirrored][:, ::-1]])
+        if weights is not None:
+            weights = np.concatenate([weights, weights[mirrored]])
+        if edge_labels is not None:
+            edge_labels = np.concatenate([edge_labels, edge_labels[mirrored]])
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    keep = order
+    if deduplicate and order.size:
+        ordered = edges[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+        keep = order[first]
+    counts = np.bincount(edges[keep, 0], minlength=num_vertices)
+    return (
+        np.concatenate([[0], np.cumsum(counts)]),
+        edges[keep, 1].astype(np.uint32),
+        None if weights is None else weights[keep],
+        None if edge_labels is None else edge_labels[keep],
+    )
+
+
+@st.composite
+def _attributed_edge_lists(draw):
+    """Multigraph edge lists whose repeated pairs carry distinct attributes."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(1, 2**20)))
+    vertex = st.one_of(
+        st.integers(0, n - 1),
+        st.integers(max(n - 3, 0), n - 1),
+        st.integers(0, min(n - 1, 2)),
+    )
+    arc = st.one_of(st.tuples(vertex, vertex), vertex.map(lambda v: (v, v)))
+    pool = draw(st.lists(arc, min_size=1, max_size=10))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=80))
+    edges = np.array([pool[i] for i in picks], dtype=np.int64).reshape(-1, 2)
+    m = edges.shape[0]
+    weights = edge_labels = None
+    if draw(st.booleans()):
+        weights = np.array(draw(st.permutations(range(m))), dtype=np.float32)
+    if draw(st.booleans()):
+        labels = st.lists(st.integers(-3, 300), min_size=m, max_size=m)
+        edge_labels = np.array(draw(labels), dtype=np.int16)
+    return edges, n, weights, edge_labels
+
+
+class TestLexsortEquivalence:
+    @given(
+        case=_attributed_edge_lists(),
+        directed=st.booleans(),
+        deduplicate=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lexsort_reference(self, case, directed, deduplicate):
+        """Repeated pairs keep their input order, attributes included."""
+        edges, n, weights, edge_labels = case
+        graph = from_edge_list(
+            edges,
+            num_vertices=n,
+            weights=weights,
+            edge_labels=edge_labels,
+            directed=directed,
+            deduplicate=deduplicate,
+        )
+        row_index, col_index, ref_weights, ref_labels = _lexsort_reference(
+            edges, n, weights, edge_labels, directed, deduplicate
+        )
+        np.testing.assert_array_equal(graph.row_index, row_index)
+        np.testing.assert_array_equal(graph.col_index, col_index)
+        assert graph.col_index.dtype == np.uint32
+        for built, expected in ((graph.edge_weights, ref_weights), (graph.edge_labels, ref_labels)):
+            if expected is None:
+                assert built is None
+            else:
+                assert built.dtype == expected.dtype
+                np.testing.assert_array_equal(built, expected)
 
 
 class TestSymmetrize:

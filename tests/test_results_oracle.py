@@ -19,10 +19,28 @@ from repro.bench.runner import main
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
-#: The degree-aware cache's figures: its miss ratios against the
-#: direct-mapped baseline (Figure 11), its share of the Figure 13
-#: breakdown, and the policy ablation.
-ORACLE_EXPERIMENTS = ("fig11", "fig13", "ablation-cache")
+#: The degree-aware cache's figures (its miss ratios against the
+#: direct-mapped baseline in Figure 11, its share of the Figure 13
+#: breakdown, the policy ablation), then the other experiments that run
+#: in a few seconds: the dataset table (Table 2), PCIe transfers (Table 4),
+#: FPGA resources (Table 5), burst bandwidth and strategies (Figures 6 and
+#: 12), WRS sampler throughput (Figure 10) and the k, cache-size and
+#: design-space ablations.
+ORACLE_EXPERIMENTS = (
+    "fig11",
+    "fig13",
+    "ablation-cache",
+    "table2",
+    "table4",
+    "fig12",
+    "fig6",
+    "table5",
+    "ablation-k",
+    "ablation-dse",
+    "ablation-cache-size",
+    "fig10a",
+    "fig10b",
+)
 
 
 @pytest.fixture(scope="module")
