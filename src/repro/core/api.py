@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import logging
 import numbers
+import resource
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -56,6 +57,7 @@ from repro.obs import (
     build_manifest,
     config_fingerprint,
     current_observer,
+    record_host,
     record_run,
     use_observer,
 )
@@ -327,6 +329,7 @@ class LightRW:
         with use_observer(obs), obs.span(
             "run", backend=self.backend, algorithm=algorithm.name
         ):
+            usage = resource.getrusage(resource.RUSAGE_SELF) if obs.enabled else None
             if starts is None:
                 starts = make_queries(self.graph, seed=self.seed)
             starts = check_batch(self.graph, starts, n_steps, algorithm)
@@ -360,7 +363,11 @@ class LightRW:
                 strict=strict,
             )
             outcome = scheduler.execute(backend, plan, checkpoint=checkpoint)
-            return self._package(plan, outcome, strict=strict)
+            result = self._package(plan, outcome, strict=strict)
+            if usage is not None:
+                after = resource.getrusage(resource.RUSAGE_SELF)
+                record_host(obs.metrics, usage, after, backend=self.backend)
+            return result
 
     # -- runtime plumbing ----------------------------------------------------
 

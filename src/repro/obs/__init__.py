@@ -29,6 +29,7 @@ Collection is opt-in and the disabled path is a no-op::
 from repro.obs.adapters import (
     record_breakdown,
     record_checkpoint,
+    record_host,
     record_resumed_shard,
     record_retry,
     record_run,
@@ -86,6 +87,7 @@ __all__ = [
     "read_jsonl",
     "record_breakdown",
     "record_checkpoint",
+    "record_host",
     "record_resumed_shard",
     "record_retry",
     "record_run",

@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "record_breakdown",
     "record_checkpoint",
+    "record_host",
     "record_resumed_shard",
     "record_retry",
     "record_run",
@@ -175,6 +176,20 @@ def record_watchdog_abort(metrics: MetricsRegistry, *, cycle: int) -> None:
 
 
 # -- batch-level gauges and distributions -------------------------------------
+
+
+def record_host(metrics: MetricsRegistry, before: Any, after: Any, *, backend: str) -> None:
+    """Record the host resources of one run from ``resource.getrusage``
+    readings (``RUSAGE_SELF``) taken when it started and when it ended.
+
+    ``host.cpu_s`` (user + system) and ``host.minflt`` (minor page faults)
+    are what the run added; ``host.maxrss_mb`` is the process's peak
+    resident set so far (Linux reports ``ru_maxrss`` in KiB).
+    """
+    cpu_s = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    metrics.gauge("host.cpu_s", backend=backend).set(cpu_s)
+    metrics.gauge("host.minflt", backend=backend).set(after.ru_minflt - before.ru_minflt)
+    metrics.gauge("host.maxrss_mb", backend=backend).set(after.ru_maxrss / 1024)
 
 
 def record_run(metrics: MetricsRegistry, result: "RunResult") -> None:

@@ -48,13 +48,15 @@ def splitmix64(value: int | np.ndarray) -> int | np.ndarray:
     return int(z)
 
 
-def splitmix64_inplace(z: np.ndarray) -> np.ndarray:
+def splitmix64_inplace(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """:func:`splitmix64` of a ``uint64`` array, overwriting and returning it.
 
-    Uses one scratch buffer instead of a temporary per operation; uint64
+    Uses one scratch buffer instead of a temporary per operation: ``scratch``
+    (a ``uint64`` array of ``z``'s shape, overwritten) or a new one; uint64
     arithmetic wraps modulo 2**64, as the finalizer requires.
     """
-    scratch = np.empty_like(z)
+    if scratch is None:
+        scratch = np.empty_like(z)
     z += _GOLDEN
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, np.uint64(shift), out=scratch)

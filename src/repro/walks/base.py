@@ -27,7 +27,7 @@ other update function the bound is enforced per step, by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -47,7 +47,7 @@ MAX_WEIGHT = np.nextafter((2.0**32 - 0.5) / WEIGHT_SCALE, 0.0)
 _MAX_WEIGHT_BITS = np.float64(MAX_WEIGHT).view(np.uint64)
 
 
-def quantize_weights(weights: np.ndarray) -> np.ndarray:
+def quantize_weights(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Quantize non-negative float weights to the hardware fixed point.
 
     Zero stays zero (a forbidden edge must stay forbidden); any positive
@@ -55,6 +55,10 @@ def quantize_weights(weights: np.ndarray) -> np.ndarray:
     Weights must lie in the 32-bit fixed-point domain: finite, ``>= 0``
     and with ``rint(w * WEIGHT_SCALE) < 2**32`` — just under ``2**24``,
     which every float32 weight below ``2**24`` meets.
+
+    ``out``, a ``uint64`` array of the weights' shape, receives the result
+    (and is returned); the quantization runs in it, so the call allocates
+    nothing.  Without ``out`` the result is a new array.
     """
     weights = np.asarray(weights, dtype=np.float64)
     # One comparison checks the whole domain: as uint64, the bits of
@@ -67,10 +71,18 @@ def quantize_weights(weights: np.ndarray) -> np.ndarray:
                 f"2**{32 - WEIGHT_FRAC_BITS} (the {32 - WEIGHT_FRAC_BITS}.{WEIGHT_FRAC_BITS} "
                 "fixed-point domain)"
             )
-    scaled = np.multiply(weights, WEIGHT_SCALE)
+    if out is None:
+        out = np.empty(weights.shape, dtype=np.uint64)
+    # ceil(max(rint(w * SCALE), w)): a weight that rounds to zero is at
+    # most 1/(2 SCALE), so the max keeps it and the ceil lifts it to one;
+    # any other rounded weight is an integer >= w, which both leave alone.
+    scaled = out.view(np.float64)
+    np.multiply(weights, WEIGHT_SCALE, out=scaled)
     np.rint(scaled, out=scaled)
-    quantized = np.empty(weights.shape, dtype=np.uint64)
-    return np.maximum(scaled, weights > 0, out=quantized, casting="unsafe")
+    np.maximum(scaled, weights, out=scaled)
+    np.ceil(scaled, out=scaled)
+    np.copyto(out, scaled, casting="unsafe")  # in place: same size, same strides
+    return out
 
 
 def unit_weights(n_edges: int) -> np.ndarray:
@@ -80,6 +92,32 @@ def unit_weights(n_edges: int) -> np.ndarray:
     recognizes a constant weight vector and skips its per-edge prefix sum.
     """
     return np.broadcast_to(np.float64(1.0), (n_edges,))
+
+
+class StepWorkspace:
+    """Grow-only scratch memory for the per-edge arrays of step blocks.
+
+    :func:`~repro.walks.stepper.run_walks` makes one per call and hands it
+    to every block through :attr:`StepContext.workspace` (see "Workspace"
+    in :mod:`repro.walks.stepper`).  It holds named byte slabs; a request
+    returns the start of one viewed as ``n`` elements of a ``dtype``, and a
+    later request for the same name overwrites them.
+    """
+
+    def __init__(self) -> None:
+        self._slabs: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, n: int, dtype=np.uint64) -> np.ndarray:
+        nbytes = n * np.dtype(dtype).itemsize
+        slab = self._slabs.get(name)
+        if slab is None or slab.size < nbytes:
+            # A first request is sized exactly.  A slab that has to grow
+            # takes a quarter more, so that blocks a little larger than the
+            # last do not each free a slab and take a larger one: those
+            # holes raised a thread-mode walk's peak RSS by 9 MiB.
+            size = nbytes if slab is None else nbytes + nbytes // 4
+            slab = self._slabs[name] = np.empty(size, dtype=np.uint8)
+        return slab[:nbytes].view(dtype)
 
 
 @dataclass
@@ -103,6 +141,8 @@ class StepContext:
     seg_starts: np.ndarray
     #: candidate edges of the block (``degrees.sum()``)
     n_edges: int
+    #: scratch the weight update and the sampler write per-edge arrays into
+    workspace: StepWorkspace = field(default_factory=StepWorkspace)
 
     @property
     def n_queries(self) -> int:
@@ -153,12 +193,14 @@ def gather_step(
     step: int,
     curr: np.ndarray,
     prev: np.ndarray,
+    workspace: StepWorkspace | None = None,
 ) -> StepContext:
     """The :class:`StepContext` over every out-edge of each query's vertex.
 
     Its per-edge fields gather from the graph's staged int64 / float64
     arrays (``CSRGraph.col_index64``, ``CSRGraph.edge_weights64``), so a
-    step converts nothing.
+    step converts nothing.  Without ``workspace`` the context gets a fresh
+    one of its own.
     """
     curr = np.asarray(curr, dtype=np.int64)
     degrees = graph.degrees[curr]
@@ -172,6 +214,7 @@ def gather_step(
         degrees=degrees,
         seg_starts=seg_starts,
         n_edges=int(seg_starts[-1] + degrees[-1]) if curr.size else 0,
+        workspace=StepWorkspace() if workspace is None else workspace,
     )
 
 

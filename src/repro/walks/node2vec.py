@@ -21,7 +21,8 @@ The host kernel searches the graph's sorted edge keys
 :func:`connected_to_previous` and :func:`return_edges` return the flat
 candidate indices of the step's "stay close" and "return" edges, and
 :meth:`Node2VecWalk.dynamic_weights` starts every edge of a query with a
-previous vertex at ``1/q`` and overwrites those two index sets.  So a
+previous vertex at ``1/q`` (in the step's workspace, see "Workspace" in
+:mod:`repro.walks.stepper`) and overwrites those two index sets.  So a
 step's work beyond the one ``1/q`` fill is proportional to the searched
 needles and their hits, not to the block's candidate edges, and an
 unweighted step builds no per-edge :class:`StepContext` field.
@@ -71,7 +72,12 @@ class Node2VecWalk(WalkAlgorithm):
         has_prev = ctx.prev >= 0
         if not np.any(has_prev):
             return ctx.static_weights
-        scale = np.repeat(np.where(has_prev, 1.0 / self.q, 1.0), ctx.degrees)
+        scale = ctx.workspace.array("weights", ctx.n_edges, np.float64)
+        scale.fill(1.0 / self.q)
+        if not np.all(has_prev):
+            first = np.flatnonzero(~has_prev)
+            starts = ctx.seg_starts[first]
+            scale[_ranges(starts, starts + ctx.degrees[first])] = 1.0
         scale[connected_to_previous(ctx)] = 1.0
         scale[return_edges(ctx)] = 1.0 / self.p  # a return edge is connected too
         if ctx.graph.edge_weights is not None:  # else w* = 1, and the scale is w^t

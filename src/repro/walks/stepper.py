@@ -30,8 +30,9 @@ the budget is a block of its own).  Per block the stepper gathers the
 candidate edges (:func:`~repro.walks.base.gather_step`), computes the
 dynamic weights and samples, then writes the block's next vertices into
 the step's arrays; the step still yields one :class:`StepRecord`.  The
-budget bounds the per-edge temporaries a block keeps live, instead of a
-whole step's worth of them.  Blocking never changes a walk: each
+budget bounds the size of the workspace the blocks write their per-edge
+arrays into (see "Workspace" below), instead of a whole step's worth of
+them.  Blocking never changes a walk: each
 query's weights, lane draws and counters depend only on that query, and
 both samplers' prefix sums are exact integers, so a segment's draw does
 not depend on what else shares its block (or its shard).
@@ -44,6 +45,29 @@ block spreads it over more edges, and fewer such calls let thread-mode
 groups overlap.  On a 2-core machine, 10 alternating benchmark pairs
 against 2^16 found 2^18 faster for uniform and Node2Vec steps, weighted
 or not, and no slower for weighted MetaPath steps.
+
+Workspace
+---------
+:func:`run_walks` makes one :class:`~repro.walks.base.StepWorkspace` per
+call and hands it to every block through ``StepContext.workspace``.  The
+per-edge arrays of a step are views of its slabs: Node2Vec's weights; PWRS's
+lane draws and their mix, the lane of each edge, its ``r*``, the quantized
+weights, their per-segment prefix and the acceptance mask (or, for constant
+weights, the lane thresholds and the mask); and the inverse-transform
+sampler's quantized weights and prefix.  A block therefore allocates only
+per-query and per-row arrays.  Before the workspace, a block allocated
+about a dozen per-edge arrays; when the heap had no hole that fit them,
+glibc grew the heap for each block and trimmed it on free, and the next
+block faulted the pages back in (53k minor faults and +12-17% ``run_s`` on
+Node2Vec at RMAT-16, 1024 queries; +35-40% at 4096).
+
+The workspace lives for one call and only grows: a slab is sized by the
+largest block that asked for it (a hub beyond the budget grows it), not by
+:data:`STEP_BLOCK_EDGES` up front, and a slab that has to grow takes a
+quarter more.  It is not kept across calls.  Held across runs (per thread),
+it took the faults to zero but raised peak RSS by 9 MiB on Node2Vec and on
+the 16-shard thread-mode uniform walk and by 19 MiB on the checkpointed
+MetaPath walk, which each call's fresh workspace does not.
 
 Lazy per-edge fields
 --------------------
@@ -123,11 +147,18 @@ from repro.errors import ConfigError, QueryError
 from repro.graph.csr import CSRGraph
 from repro.sampling.parallel_wrs import ParallelWRS, integer_accept
 from repro.sampling.rng import ThundeRingRNG, derive_seed, splitmix64, splitmix64_inplace
-from repro.walks.base import StepContext, WalkAlgorithm, gather_step, quantize_weights
+from repro.walks.base import (
+    StepContext,
+    StepWorkspace,
+    WalkAlgorithm,
+    gather_step,
+    quantize_weights,
+)
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_U32_LIMIT = np.uint64(1 << 32)
 
 #: Mixed into the sampler seed to key the restart-coin lanes.
 _RESTART_SALT = 0x9E57A97
@@ -161,21 +192,34 @@ def _lane_uint32(counters: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def _cycle_draws(
-    lane_keys: np.ndarray, row_query: np.ndarray, row_counters: np.ndarray
+    lane_keys: np.ndarray,
+    row_query: np.ndarray,
+    row_counters: np.ndarray,
+    workspace: StepWorkspace | None = None,
 ) -> np.ndarray:
     """Raw 64-bit draws of one hardware cycle per row, ``k`` lanes wide.
 
     Row ``i`` mixes cycle counter ``row_counters[i]`` with the lane keys
     ``lane_keys[row_query[i]]`` (``lane_keys`` is ``(n, k)``).  Its high
     32 bits are what ``ThundeRingRNG.next_uint32`` returns at that counter
-    for that query's generator.
+    for that query's generator.  The draws fill the workspace's ``draws``
+    slab, and the mix runs in its ``scratch`` slab.
     """
-    k = lane_keys.shape[1]
-    draws = np.take(lane_keys, row_query, axis=0)
-    # A broadcast XOR over k-lane rows runs a short inner loop per row;
-    # one flat XOR against the repeated counters is faster.
-    draws ^= np.repeat(np.multiply(row_counters, _GOLDEN), k).reshape(draws.shape)
-    return splitmix64_inplace(draws)
+    if workspace is None:
+        workspace = StepWorkspace()
+    shape = (row_query.size, lane_keys.shape[1])
+    size = shape[0] * shape[1]
+    # mode="wrap" (the rows are in range) writes into out= directly; the
+    # default mode="raise" buffers it.
+    draws = np.take(
+        lane_keys, row_query, axis=0, out=workspace.array("draws", size).reshape(shape), mode="wrap"
+    )
+    # Each row's mixed counter goes to all k lanes of the scratch slab for a
+    # flat XOR: a broadcast XOR runs a short inner loop per row and buffers.
+    scratch = workspace.array("scratch", size).reshape(shape)
+    np.copyto(scratch, np.multiply(row_counters, _GOLDEN)[:, None])
+    draws ^= scratch
+    return splitmix64_inplace(draws, scratch=scratch)
 
 
 def _accept_threshold(within: np.ndarray) -> np.ndarray:
@@ -204,6 +248,42 @@ def _weight_before(incl_prefix: np.ndarray, edge_index: np.ndarray) -> np.ndarra
     before = incl_prefix[edge_index - 1]
     before[edge_index == 0] = 0
     return before
+
+
+def _segment_prefix(w_int: np.ndarray, firsts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inclusive prefix of ``w_int`` restarted at every segment, into ``out``.
+
+    ``firsts`` are the increasing first edges of the non-empty segments.
+    Each segment's first weight is lowered by the total of the segment
+    before it for one cumulative sum over the block, then restored; uint64
+    arithmetic wraps, and every true partial sum fits, so the result is
+    exact.
+    """
+    if not firsts.size:
+        return out
+    carried = np.add.reduceat(w_int, firsts)[:-1]
+    w_int[firsts[1:]] -= carried
+    np.cumsum(w_int, out=out)
+    w_int[firsts[1:]] += carried
+    return out
+
+
+def _accept(
+    w_int: np.ndarray, incl_prefix: np.ndarray, r_star: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """:func:`~repro.sampling.parallel_wrs.integer_accept` into the mask ``out``.
+
+    With every prefix below ``2^32`` the test ``2^32 w > r* P + w`` runs in
+    place, overwriting ``incl_prefix`` and ``r_star``; larger prefixes take
+    ``integer_accept``'s exact limb form.
+    """
+    if incl_prefix.size and incl_prefix.max() >= _U32_LIMIT:
+        out[:] = integer_accept(w_int, incl_prefix, r_star)
+        return out
+    r_star *= incl_prefix
+    r_star += w_int
+    np.left_shift(w_int, _SHIFT32, out=incl_prefix)
+    return np.greater(incl_prefix, r_star, out=out)
 
 
 class PWRSSampler:
@@ -256,7 +336,7 @@ class PWRSSampler:
         """
         if self._lane_keys is None or self._counters is None:
             raise ConfigError("sampler not attached; call attach() first")
-        degrees, seg_starts = ctx.degrees, ctx.seg_starts
+        degrees, seg_starts, ws = ctx.degrees, ctx.seg_starts, ctx.workspace
         # Query i takes rows[i] cycles ("Cycle-major draws" in the module
         # docstring), stacked from row row_starts[i] of the draws.
         rows = -(-degrees // self.k)
@@ -264,8 +344,8 @@ class PWRSSampler:
         cycle = np.arange(int(rows.sum()), dtype=np.int64)
         cycle -= np.repeat(row_starts, rows)
         row_counters = np.repeat(self._counters[active_index], rows)
-        row_counters += cycle.astype(np.uint64)
-        draws = _cycle_draws(self._lane_keys, np.repeat(active_index, rows), row_counters)
+        row_counters += cycle.view(np.uint64)
+        draws = _cycle_draws(self._lane_keys, np.repeat(active_index, rows), row_counters, ws)
         pad_starts = row_starts * self.k
 
         weights = np.asarray(weights)
@@ -273,21 +353,35 @@ class PWRSSampler:
             # One weight for every edge ("Constant weights" in the module
             # docstring): a threshold per lane, no per-edge array at all.
             if quantize_weights(weights[:1])[0]:
-                thresholds = np.take(self._threshold_rows(ctx, rows), cycle, axis=0)
-                hits = np.flatnonzero(draws < thresholds)
+                thresholds = np.take(
+                    self._threshold_rows(ctx, rows),
+                    cycle,
+                    axis=0,
+                    out=ws.array("scratch", draws.size).reshape(draws.shape),
+                    mode="wrap",
+                )
+                below = ws.array("mask", draws.size, bool).reshape(draws.shape)
+                hits = np.flatnonzero(np.less(draws, thresholds, out=below))
             else:
                 hits = np.empty(0, dtype=np.intp)
             starts = pad_starts
         else:
-            w_int = quantize_weights(weights)
-            incl_prefix = np.cumsum(w_int, dtype=np.uint64)
-            incl_prefix -= np.repeat(_weight_before(incl_prefix, seg_starts), degrees)
-            # Edge e of query i draws from flat lane pad_starts[i] + (e - seg_starts[i]).
-            lane = np.arange(ctx.n_edges, dtype=np.int64)
-            lane += np.repeat(pad_starts - seg_starts, degrees)
-            r_star = draws.ravel()[lane]
+            n = ctx.n_edges
+            walked = np.flatnonzero(degrees)
+            lane_shift = (pad_starts - seg_starts)[walked]
+            firsts = seg_starts[walked]
+            # Edge e of query i draws from flat lane e + pad_starts[i] - seg_starts[i]:
+            # a run of ones with a jump at each segment's first edge, summed.
+            lane = ws.array("scratch", n, np.int64)
+            lane.fill(1)
+            lane[firsts] += np.diff(lane_shift, prepend=1)
+            np.cumsum(lane, out=lane)
+            r_star = np.take(draws.ravel(), lane, out=ws.array("r_star", n), mode="wrap")
             r_star >>= _SHIFT32
-            hits = np.flatnonzero(integer_accept(w_int, incl_prefix, r_star))
+            # The draws and lanes are spent: their slabs take the weights and prefix.
+            w_int = quantize_weights(weights, out=ws.array("draws", n))
+            incl_prefix = _segment_prefix(w_int, firsts, ws.array("scratch", n))
+            hits = np.flatnonzero(_accept(w_int, incl_prefix, r_star, ws.array("mask", n, bool)))
             starts = seg_starts
         # The last hit before a query's end wins if it is past the query's
         # start (it would have overwritten the others sequentially); the -1
@@ -327,9 +421,9 @@ class InverseTransformSampler:
     ) -> np.ndarray:
         if self._keys is None or self._counters is None:
             raise ConfigError("sampler not attached; call attach() first")
-        seg_starts = ctx.seg_starts
-        w_int = quantize_weights(weights)
-        prefix = np.cumsum(w_int, dtype=np.uint64)
+        seg_starts, ws = ctx.seg_starts, ctx.workspace
+        prefix = quantize_weights(weights, out=ws.array("scratch", ctx.n_edges))
+        np.cumsum(prefix, out=prefix)
         seg_base = _weight_before(prefix, seg_starts)
         seg_total = _weight_before(prefix, seg_starts + ctx.degrees) - seg_base
 
@@ -457,6 +551,7 @@ def run_walks(
     records: list[StepRecord] = []
 
     all_degrees = graph.degrees
+    workspace = StepWorkspace()
     alpha = algorithm.restart_probability
     if alpha:
         coin_keys = _query_lane_keys(derive_seed(sampler.seed, _RESTART_SALT), query_ids, 1)[:, 0]
@@ -490,7 +585,15 @@ def run_walks(
             step_degrees = np.where(restart, 0, a_deg)
             walk = ~restart
         next_vertices[walk] = _sample_step(
-            graph, step, algorithm, sampler, active[walk], a_curr[walk], a_prev[walk], a_deg[walk]
+            graph,
+            step,
+            algorithm,
+            sampler,
+            workspace,
+            active[walk],
+            a_curr[walk],
+            a_prev[walk],
+            a_deg[walk],
         )
         sampled = next_vertices >= 0
 
@@ -529,6 +632,7 @@ def _sample_step(
     step: int,
     algorithm: WalkAlgorithm,
     sampler: PWRSSampler | InverseTransformSampler,
+    workspace: StepWorkspace,
     active: np.ndarray,
     curr: np.ndarray,
     prev: np.ndarray,
@@ -543,7 +647,7 @@ def _sample_step(
         budget_end = (edge_ends[lo - 1] if lo else 0) + STEP_BLOCK_EDGES
         hi = max(int(np.searchsorted(edge_ends, budget_end, side="right")), lo + 1)
         block = slice(lo, hi)
-        ctx = gather_step(graph, step, curr[block], prev[block])
+        ctx = gather_step(graph, step, curr[block], prev[block], workspace)
         chosen = sampler.select(ctx, algorithm.dynamic_weights(ctx), active[block])
         next_vertices[block] = ctx.next_vertices(chosen)
         lo = hi

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import resource
 import threading
 
 import pytest
@@ -256,6 +257,23 @@ class TestBackendMetrics:
         assert {s.parent_id for s in shard_spans} <= {run.span_id, merge.parent_id}
         (model,) = obs.spans.find("perf-model")
         assert model.parent_id == merge.span_id
+
+    def test_host_resources_per_run(self, labeled_graph):
+        __, metrics = self.run_with_observer(labeled_graph, "fpga-model")
+        assert metrics.get("host.cpu_s", backend="fpga-model") > 0
+        assert metrics.get("host.minflt", backend="fpga-model") >= 0
+        peak = metrics.get("host.maxrss_mb", backend="fpga-model")
+        assert peak == resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+    def test_unobserved_run_reads_no_host_resources(self, labeled_graph, monkeypatch):
+        def refuse(who):
+            raise AssertionError("getrusage called by an unobserved run")
+
+        monkeypatch.setattr(resource, "getrusage", refuse)
+        engine = LightRW(labeled_graph, hardware_scale=64, seed=2)
+        assert engine.run(UniformWalk(), 4, max_sampled_queries=16).ok
+        with pytest.raises(AssertionError, match="unobserved"):
+            engine.run(UniformWalk(), 4, max_sampled_queries=16, observer=Observer())
 
     def test_off_by_default_records_nothing(self, labeled_graph, tmp_path):
         """An unobserved run through every gated write site — shard

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,6 +12,7 @@ from repro.sampling.rng import (
     ThundeRingRNG,
     derive_seed,
     splitmix64,
+    splitmix64_inplace,
 )
 
 
@@ -117,3 +120,28 @@ class TestThundeRingRNG:
     def test_mean_is_half(self):
         rng = ThundeRingRNG(4, seed=23)
         assert abs(_uniform_block(rng, 2000).mean() - 0.5) < 0.02
+
+
+class TestSplitMix64InPlace:
+    @pytest.mark.parametrize("with_scratch", [False, True])
+    def test_matches_scalar(self, with_scratch):
+        values = np.array([0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 12345], dtype=np.uint64)
+        z = values.copy()
+        scratch = np.empty_like(z) if with_scratch else None
+        out = splitmix64_inplace(z, scratch=scratch)
+        assert out is z
+        assert [int(v) for v in z] == [splitmix64(int(v)) for v in values]
+
+    def test_writes_only_z_and_scratch(self):
+        z = np.arange(1 << 12, dtype=np.uint64)
+        expected = splitmix64(z.copy())
+        scratch = np.zeros_like(z)
+        tracemalloc.start()
+        try:
+            splitmix64_inplace(z, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(z, expected)
+        assert scratch.any()  # the mix ran in scratch
+        assert peak < z.nbytes // 8  # and made no buffer of its own
