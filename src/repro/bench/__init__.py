@@ -2,8 +2,8 @@
 
 Each experiment module exposes ``run(**params) -> ExperimentResult``; the
 CLI (``python -m repro.bench <experiment>`` or the ``lightrw-bench``
-entry point) runs them and prints the paper-style tables.  The
-``benchmarks/`` pytest-benchmark suite wraps the same functions.
+entry point) runs them and prints the paper-style tables;
+:mod:`repro.bench.verdict` checks each saved result against its claim.
 """
 
 from repro.bench.common import ExperimentResult, REGISTRY, register

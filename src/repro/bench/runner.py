@@ -2,7 +2,8 @@
 
 ``lightrw-bench --list`` shows every registered table/figure regenerator;
 ``lightrw-bench all`` runs the complete evaluation and writes JSON results
-next to the printed tables.
+next to the printed tables; ``--verdict`` then scores each saved
+experiment against its claim (:mod:`repro.bench.verdict`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--verdict",
         action="store_true",
-        help="after running, score the saved results against the paper's claims",
+        help="after running, score the experiments saved in --save-dir against "
+             "the paper's claims",
     )
     parser.add_argument(
         "--no-metrics",

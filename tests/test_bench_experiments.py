@@ -1,7 +1,7 @@
 """Experiment harness: every regenerator runs and shows the paper's shape.
 
-These use deliberately small parameters — the full-size runs live in
-``benchmarks/``; here we assert the *qualitative* claims cheaply.
+These use deliberately small parameters — the full-size runs are scored
+by ``repro.bench.verdict``; here we assert the *qualitative* claims cheaply.
 """
 
 from __future__ import annotations
