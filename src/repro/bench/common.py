@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from repro.artifacts import read_json_artifact, write_json_artifact
 from repro.runtime import backend_names, comparison_backends, describe_backends
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "DEFAULT_SAMPLED_QUERIES",
@@ -118,19 +114,11 @@ class ExperimentResult:
 def load_result_json(path: str | Path) -> dict:
     """Load one saved experiment result, verifying its integrity.
 
-    Results written by :meth:`ExperimentResult.save_json` carry a
-    checksummed envelope which is verified (corruption is quarantined and
-    raised as :class:`~repro.errors.ArtifactCorruptionError`); results
-    saved before the envelope existed load unverified with a warning.
+    Results are written by :meth:`ExperimentResult.save_json` in a
+    checksummed envelope.  A file that fails verification (truncated,
+    hand-edited, or without the envelope) is quarantined and raised as
+    :class:`~repro.errors.ArtifactCorruptionError`.
     """
-    path = Path(path)
-    try:
-        parsed = json.loads(path.read_text())
-    except json.JSONDecodeError:
-        parsed = None  # defer to read_json_artifact for quarantine + error
-    if isinstance(parsed, dict) and "format_version" not in parsed:
-        logger.warning("%s: legacy bench result without integrity envelope", path)
-        return parsed
     return read_json_artifact(path, kind="bench-result")
 
 

@@ -26,6 +26,7 @@ from statistics import fmean
 from typing import Callable
 
 from repro.bench.common import load_result_json
+from repro.errors import ArtifactCorruptionError
 from repro.graph.datasets import DATASET_ORDER
 
 #: The two applications of every paper figure that compares them.
@@ -104,19 +105,24 @@ def _check_fig6(rows) -> tuple[bool, str]:
 def _check_fig10a(rows) -> tuple[bool, str]:
     points = [(r["k"], float(r["measured_items_per_s"])) for r in rows]
     rates = [rate for _, rate in points]
+    k1, rate1 = points[0]
+    # Linear within 1% while far from the memory roof, within 15% up to it.
+    exact = all(_within(rate, rate1 * k / k1, 0.01) for k, rate in points if k <= 4)
     linear = all(
         _within(rate, prev_rate * k / prev_k, 0.15)
         for (prev_k, prev_rate), (k, rate) in zip(points, points[1:])
         if k <= 16
     )
     saturated = [rate for k, rate in points if k >= 16]
-    ok = rates == sorted(rates) and linear and _within(max(saturated), min(saturated), 0.01)
+    ok = (rates == sorted(rates) and exact and linear
+          and _within(max(saturated), min(saturated), 0.01))
     return ok, f"linear up to k = 16, saturates at {max(rates):.3g} items/s"
 
 
 def _check_fig10b(rows) -> tuple[bool, str]:
     fractions = [r["fraction_of_peak"] for r in rows]
-    ok = fractions == sorted(fractions) and fractions[0] > 0.5 and abs(fractions[-1] - 1) <= 0.02
+    ok = (fractions == sorted(fractions) and 0.5 < fractions[0] < fractions[-1]
+          and abs(fractions[-1] - 1) <= 0.02)
     return ok, (
         f"{fractions[0]:.0%} of peak at the shortest stream, {fractions[-1]:.0%} at the longest"
     )
@@ -193,7 +199,7 @@ def _check_fig16(rows) -> tuple[bool, str]:
     ok = True
     details = []
     for app, (light, speedups) in _per_app(rows).items():
-        ok = ok and _flat(light, 1.6)
+        ok = ok and _flat(light, 1.5)
         ok = ok and speedups[0] == max(speedups) and speedups[0] > 3 * speedups[-1]
         details.append(f"{app} {speedups[0]}x -> {speedups[-1]}x")
     return ok, "; ".join(details)
@@ -233,7 +239,7 @@ def _check_table4(rows) -> tuple[bool, str]:
     metapath, node2vec = rows
     mp = [_percent(metapath[g]) for g in DATASET_ORDER]
     n2v = [_percent(node2vec[g]) for g in DATASET_ORDER]
-    ok = all(3 < m < 60 and n < 12 and n < m for m, n in zip(mp, n2v))
+    ok = all(3 < m < 60 and n < 12 and 5 * n < m for m, n in zip(mp, n2v))
     return ok, f"PCIe share: MetaPath {_band(mp)}%, Node2Vec {_band(n2v)}%"
 
 
@@ -406,7 +412,9 @@ def score_reproduction(results_dir: str | Path) -> list[Verdict]:
     """Evaluate every checkable experiment saved in a results directory.
 
     An experiment without a ``<name>.json`` is not scored; a directory
-    with none of them yields one failing verdict.
+    with none of them yields one failing verdict.  A saved result that
+    fails its integrity check is quarantined and fails its own verdict;
+    the rest are still scored.
     """
     directory = Path(results_dir)
     verdicts = []
@@ -414,7 +422,11 @@ def score_reproduction(results_dir: str | Path) -> list[Verdict]:
         path = directory / f"{name}.json"
         if not path.exists():
             continue
-        rows = load_result_json(path)["rows"]
+        try:
+            rows = load_result_json(path)["rows"]
+        except ArtifactCorruptionError as error:
+            verdicts.append(Verdict(name, claim, False, f"corrupt result: {error}"))
+            continue
         try:
             passed, detail = check(rows) if rows else (False, "no rows saved")
         except (LookupError, ArithmeticError, ValueError, TypeError, AttributeError,
